@@ -31,7 +31,7 @@ from .gauges import (
     estimate_quasi_constant,
     make_gauge_samples,
 )
-from .maps import MapSpec, _parse_exact_scalar
+from .maps import MapSpec, _parse_exact_scalar, parse_float, parse_int
 from .orthogonality import AXIOM_SYSTEMS, OrthoRelation, check_relation_axioms
 from .reporting import jsonable
 from .stability import (
@@ -94,7 +94,7 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
 def cmd_constants(args) -> int:
     betas = _parse_number_list(args.beta, "--beta")
     ps = _parse_number_list(args.p, "--p")
-    tol = float(args.tol)
+    tol = parse_float(args.tol, "--tol")
     if tol <= 0:
         raise ConfigurationError(f"--tol must be positive, got {args.tol!r}")
     for b in betas:
@@ -190,10 +190,10 @@ def load_stability_config(
     if mode_override is not None:
         mode = {"rational": "exact-rational"}.get(mode_override, mode_override)
     if seed_override is not None:
-        st["seed"] = int(seed_override)
+        st["seed"] = parse_int(seed_override, "--seed")
     gauge = Gauge.from_config(doc["gauge"])
     relation = OrthoRelation.from_config(doc["relation"], default_gauge=gauge)
-    dimension = int(space.get("dimension", relation.dimension))
+    dimension = parse_int(space.get("dimension", relation.dimension), "space.dimension")
     if relation.dimension != dimension:
         raise ConfigurationError(
             f"relation.dimension {relation.dimension} does not match space.dimension {dimension}"
@@ -209,7 +209,7 @@ def load_stability_config(
     if epsilon is not None and mode == "exact-rational":
         epsilon = _parse_exact_scalar(epsilon, "stability.epsilon")
     elif epsilon is not None:
-        epsilon = float(epsilon)
+        epsilon = parse_float(epsilon, "stability.epsilon")
     return StabilityConfig(
         equation=st["equation"],
         dimension=dimension,
@@ -218,15 +218,15 @@ def load_stability_config(
         map_spec=map_spec,
         beta=st["beta"],
         epsilon=epsilon,
-        sample_count=int(st.get("sample_count", 1000)),
-        pair_count=int(st.get("pair_count", 1000)),
-        n_max=int(st.get("n_max", 20)),
-        seed=int(st.get("seed", 0)),
+        sample_count=parse_int(st.get("sample_count", 1000), "stability.sample_count"),
+        pair_count=parse_int(st.get("pair_count", 1000), "stability.pair_count"),
+        n_max=parse_int(st.get("n_max", 20), "stability.n_max"),
+        seed=parse_int(st.get("seed", 0), "stability.seed"),
         mode=mode,
         quasi_corollary=bool(st.get("quasi_corollary", False)),
-        conclusion_pairs=int(st.get("conclusion_pairs", 100)),
-        uniqueness_points=int(st.get("uniqueness_points", 50)),
-        point_scale=float(st.get("point_scale", 1.0)),
+        conclusion_pairs=parse_int(st.get("conclusion_pairs", 100), "stability.conclusion_pairs"),
+        uniqueness_points=parse_int(st.get("uniqueness_points", 50), "stability.uniqueness_points"),
+        point_scale=parse_float(st.get("point_scale", 1.0), "stability.point_scale"),
     )
 
 
@@ -399,22 +399,22 @@ def cmd_check_axioms(args) -> int:
     if extra:
         raise ConfigurationError(f"check-axioms config has unknown fields {sorted(extra)}")
     target = doc.get("target")
-    seed = int(doc.get("seed", 0))
+    seed = parse_int(doc.get("seed", 0), "seed")
     reports = []
     quasi_info = None
     if target == "gauge":
         if "gauge" not in doc:
             raise ConfigurationError("check-axioms target 'gauge' needs a gauge section")
         gauge = Gauge.from_config(doc["gauge"])
-        dimension = int(doc.get("dimension", 2))
-        n_samples = int(doc.get("samples", 1000))
-        scale = float(doc.get("scale", 1.0))
+        dimension = parse_int(doc.get("dimension", 2), "dimension")
+        n_samples = parse_int(doc.get("samples", 1000), "samples")
+        scale = parse_float(doc.get("scale", 1.0), "scale")
         samples = make_gauge_samples(dimension, n_samples, seed, scale)
         reports.append(check_fnorm_axioms(gauge, samples))
-        beta = float(doc.get("beta", gauge.homogeneity_degree))
+        beta = parse_float(doc.get("beta", gauge.homogeneity_degree), "beta")
         reports.append(check_beta_homogeneity(gauge, beta, samples))
         if gauge.kind == "lp-quasi":
-            trials = int(doc.get("quasi_trials", 2000))
+            trials = parse_int(doc.get("quasi_trials", 2000), "quasi_trials")
             est = estimate_quasi_constant(gauge, trials, seed, dimension=dimension)
             analytic = gauge.quasi_constant
             quasi_info = {
@@ -430,7 +430,7 @@ def cmd_check_axioms(args) -> int:
         systems = doc.get("systems")
         if systems is None:
             systems = [doc["system"]] if "system" in doc else list(AXIOM_SYSTEMS)
-        count = int(doc.get("count", 64))
+        count = parse_int(doc.get("count", 64), "count")
         for system in systems:
             reports.append(check_relation_axioms(relation, system, count=count, seed=seed))
     else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, PrecisionWarning, RangeError
 from .gauges import Gauge
-from .maps import EvaluableMap
+from .maps import evaluate_stack
 from . import vectors as vec
 
 EPS = sys.float_info.epsilon
@@ -64,35 +64,54 @@ def _three_eighths(exact: bool):
     return 0.375, 0.125
 
 
-def _scale_point(x, k: int):
-    """2^k * x, exact in both backends."""
-    if isinstance(x, tuple):
-        return vec.vscale(Fraction(2 ** k), x)
-    return (2.0 ** k) * x
+def three_eighths_expression(f2, f4, fm4, exact: bool):
+    """f(2x) - 3/8 f(4x) + 1/8 f(-4x) from the three values, row by row."""
+    a, b = _three_eighths(exact)
+    return (f2 - a * f4) + b * fm4
+
+
+def _at_scales(f, points, ks):
+    """(f(2^k x), f(-2^k x)) for k in ks and x in points, from one map call.
+
+    Both are (len(ks), N, m) arrays. The scalings 2^k are exact in both
+    backends.
+    """
+    exact = vec.is_exact(points)
+    scales = np.array(
+        [Fraction(2) ** k if exact else 2.0 ** k for k in ks], dtype=points.dtype
+    )
+    rows = (scales[:, None, None] * points).reshape(-1, points.shape[1])
+    values = evaluate_stack(f, np.concatenate([rows, -rows]))
+    values = values.reshape(2, len(ks), len(points), -1)
+    return values[0], values[1]
+
+
+def _coefficient_columns(ns, exact: bool):
+    """(c_plus, c_minus) for each n in ns, as columns that scale the rows of a stack."""
+    c = np.array([coefficients(n, exact) for n in ns], dtype=object if exact else np.float64)
+    return c[:, :1], c[:, 1:]
 
 
 def three_eighths_defect(f, x, gauge: Gauge):
-    """gauge(f(2x) - 3/8 f(4x) + 1/8 f(-4x)), the contraction hypothesis at x."""
-    a, b = _three_eighths(isinstance(x, tuple))
-    x2, x4 = _scale_point(x, 1), _scale_point(x, 2)
-    expr = vec.vadd(
-        vec.vsub(f(x2), vec.vscale(a, f(x4))),
-        vec.vscale(b, f(vec.vneg(x4))),
-    )
-    return gauge.evaluate(expr)
+    """gauge(f(2x) - 3/8 f(4x) + 1/8 f(-4x)), the contraction hypothesis at x.
+
+    x is a point or a stack of points; a stack gives one value per row.
+    """
+    points, single = vec.as_stack(x)
+    fp, fm = _at_scales(f, points, (1, 2))
+    expr = three_eighths_expression(fp[0], fp[1], fm[1], vec.is_exact(points))
+    return gauge.evaluate(vec.unstack(expr, single))
 
 
 def corrector_term(f, x, n: int, n_cancel: int = N_CANCEL_DEFAULT, warn: bool = True):
-    """c_plus(n) f(2^n x) - c_minus(n) f(-2^n x).
+    """c_plus(n) f(2^n x) - c_minus(n) f(-2^n x), at a point or each row of a stack.
 
     Emits PrecisionWarning when a float64 quadratically growing map is pushed
     past n_cancel, where cancellation costs about n bits.
     """
-    exact = isinstance(x, tuple)
-    cp, cm = coefficients(n, exact)
     if (
         warn
-        and not exact
+        and not vec.is_exact(x)
         and getattr(f, "growth_hint", "unknown") == "quadratic"
         and n > n_cancel
     ):
@@ -104,8 +123,7 @@ def corrector_term(f, x, n: int, n_cancel: int = N_CANCEL_DEFAULT, warn: bool = 
             PrecisionWarning,
             stacklevel=2,
         )
-    xn = _scale_point(x, n)
-    return vec.vsub(vec.vscale(cp, f(xn)), vec.vscale(cm, f(vec.vneg(xn))))
+    return CorrectorEvaluator(f, n).value(x)
 
 
 def corrector_residual(f, x, n: int, gauge: Gauge):
@@ -114,14 +132,10 @@ def corrector_residual(f, x, n: int, gauge: Gauge):
     Expanded, this is gauge(f(2x) - c_plus(n) f(2^(n+1) x) + c_minus(n) f(-2^(n+1) x));
     at n = 1 it coincides with the three-eighths defect at x.
     """
-    exact = isinstance(x, tuple)
-    cp, cm = coefficients(n, exact)
-    xs = _scale_point(x, n + 1)
-    expr = vec.vadd(
-        vec.vsub(f(_scale_point(x, 1)), vec.vscale(cp, f(xs))),
-        vec.vscale(cm, f(vec.vneg(xs))),
-    )
-    return gauge.evaluate(expr)
+    points, single = vec.as_stack(x)
+    cp, cm = coefficients(n, vec.is_exact(points))
+    fp, fm = _at_scales(f, points, (1, n + 1))
+    return gauge.evaluate(vec.unstack((fp[0] - cp * fp[1]) + cm * fm[1], single))
 
 
 def cauchy_gap(n: int, beta, exact: bool = False):
@@ -208,42 +222,58 @@ def gap_series(beta, tol: float = 1e-12, exact: bool = False) -> SeriesEnclosure
 
 
 def scale_table(f, x, k_max: int):
-    """(fp, fm) with fp[k] = f(2^k x) and fm[k] = f(-2^k x), k = 0..k_max."""
-    fp, fm = [], []
-    for k in range(k_max + 1):
-        xk = _scale_point(x, k)
-        yp, ym = f(xk), f(vec.vneg(xk))
-        if not isinstance(x, tuple):
-            if not (np.all(np.isfinite(yp)) and np.all(np.isfinite(ym))):
-                raise RangeError(f"map value left float64 range at scale 2^{k} of x={x!r}")
-        fp.append(yp)
-        fm.append(ym)
+    """(fp, fm) with fp[k] = f(2^k x) and fm[k] = f(-2^k x), k = 0..k_max.
+
+    Both are (k_max + 1, m) stacks, evaluated in one map call.
+    """
+    points = vec.stack(x)
+    fp, fm = _at_scales(f, points, range(k_max + 1))
+    fp, fm = fp[:, 0], fm[:, 0]
+    if not vec.is_exact(points):
+        finite = np.isfinite(fp).all(axis=-1) & np.isfinite(fm).all(axis=-1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise RangeError(f"map value left float64 range at scale 2^{k} of x={x!r}")
     return fp, fm
 
 
-def _defects_from_table(fp, fm, k: int, gauge: Gauge, exact: bool):
+def _scale_defects(fp, fm, gauge: Gauge, exact: bool):
     """Three-eighths defects at +/-2^(k-1)x with their rounding envelopes.
 
-    Returns ((defect_plus, slack_plus), (defect_minus, slack_minus)). The
-    slack is a first-order rounding envelope, OPS_ENVELOPE * eps * the
+    fp, fm is a scale table; k runs from 1 to len(fp) - 2. Returns (defects,
+    slacks), two arrays with one row per k and one column per sign, + then
+    -. The slack is a first-order rounding envelope, OPS_ENVELOPE * eps * the
     coordinate-wise magnitude sum pushed through the gauge; it is what the
     computed defect can deviate from the true one by. Zero on the exact
     backend. At scales where the base map values dwarf the defect the
     envelope exceeds the defect itself, and a comparison against a bound is
     only decidable outside the envelope.
     """
-    a, b = _three_eighths(exact)
-    plus = vec.vadd(vec.vsub(fp[k], vec.vscale(a, fp[k + 1])), vec.vscale(b, fm[k + 1]))
-    minus = vec.vadd(vec.vsub(fm[k], vec.vscale(a, fm[k + 1])), vec.vscale(b, fp[k + 1]))
+    plus = three_eighths_expression(fp[1:-1], fp[2:], fm[2:], exact)
+    minus = three_eighths_expression(fm[1:-1], fm[2:], fp[2:], exact)
+    defects = gauge.evaluate(np.stack([plus, minus], axis=1))
     if exact:
-        zero = Fraction(0)
-        return (gauge.evaluate(plus), zero), (gauge.evaluate(minus), zero)
-    mag_p = np.abs(fp[k]) + a * np.abs(fp[k + 1]) + b * np.abs(fm[k + 1])
-    mag_m = np.abs(fm[k]) + a * np.abs(fm[k + 1]) + b * np.abs(fp[k + 1])
-    return (
-        (gauge.evaluate(plus), gauge.evaluate(OPS_ENVELOPE * EPS * mag_p)),
-        (gauge.evaluate(minus), gauge.evaluate(OPS_ENVELOPE * EPS * mag_m)),
-    )
+        return defects, vec.zeros(defects.shape, exact)
+    a, b = _three_eighths(exact)
+    ap, am = np.abs(fp), np.abs(fm)
+    mag_p = ap[1:-1] + a * ap[2:] + b * am[2:]
+    mag_m = am[1:-1] + a * am[2:] + b * ap[2:]
+    return defects, gauge.evaluate(OPS_ENVELOPE * EPS * np.stack([mag_p, mag_m], axis=1))
+
+
+def _classify(defects, slacks, bound):
+    """(violations, indeterminate) among the defects of _scale_defects.
+
+    A defect above bound + slack is a certain violation, listed as (k, sign,
+    defect); one inside (bound, bound + slack] is indeterminate, listed as
+    (k, sign, defect, slack). Both lists run in order of k, + before -.
+    """
+    over = defects > bound + slacks
+    unsure = ~over & (defects > bound)
+    d, s = defects.tolist(), slacks.tolist()
+    violations = [(k + 1, "+-"[j], d[k][j]) for k, j in np.argwhere(over).tolist()]
+    indeterminate = [(k + 1, "+-"[j], d[k][j], s[k][j]) for k, j in np.argwhere(unsure).tolist()]
+    return violations, indeterminate
 
 
 @dataclass
@@ -254,13 +284,22 @@ class CorrectorTrace:
     n_max: int
     defect_bound: object
     residual_bound: object
-    rows: list = field(default_factory=list)  # (n, g_n vector, defect at +2^(n-1)x)
+    terms: object = None  # stack of g_1 .. g_(n_max)
+    defects: list = field(default_factory=list)  # three-eighths defect at +2^(n-1)x
     hypothesis_ok: bool = True
     hypothesis_violations: list = field(default_factory=list)  # (k, sign, defect value)
     # Scales where the bound comparison fell inside the rounding envelope:
     # (k, sign, defect, slack). Not violations; undecidable at this precision.
     indeterminate_scales: list = field(default_factory=list)
     precision_warnings: list = field(default_factory=list)
+
+    @property
+    def rows(self) -> list:
+        """(n, g_n, defect at +2^(n-1)x) for n = 1..n_max."""
+        return [
+            (n, vec.point_form(g), d)
+            for n, (g, d) in enumerate(zip(self.terms, self.defects), start=1)
+        ]
 
     def to_dict(self) -> dict:
         from .reporting import jsonable
@@ -297,7 +336,7 @@ def corrector_limit(
     defect_bound at every scale, not only the finitely many checked here. The
     trace records the defects at the scales actually touched (both signs) and
     flags violations instead of assuming them away. Each float comparison
-    carries the rounding envelope from _defects_from_table: a defect above
+    carries the rounding envelope from _scale_defects: a defect above
     bound + slack is a certain violation; one inside (bound, bound + slack]
     is recorded as indeterminate, since at large scales the cancellation
     residue of the base map exceeds anything the comparison could detect.
@@ -305,13 +344,21 @@ def corrector_limit(
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    exact = isinstance(x, tuple)
+    exact = vec.is_exact(x)
     fp, fm = scale_table(f, x, n_max + 1)
+    defects, slacks = _scale_defects(fp, fm, gauge, exact)
+    violations, indeterminate = _classify(defects, slacks, defect_bound)
+    cp, cm = _coefficient_columns(range(1, n_max + 1), exact)
     trace = CorrectorTrace(
         point=x,
         n_max=n_max,
         defect_bound=defect_bound,
         residual_bound=defect_bound * gap_tail_bound(n_max, beta, exact),
+        terms=cp * fp[1:-1] - cm * fm[1:-1],
+        defects=defects[:, 0].tolist(),
+        hypothesis_ok=not violations,
+        hypothesis_violations=violations,
+        indeterminate_scales=indeterminate,
     )
     if (
         not exact
@@ -322,26 +369,14 @@ def corrector_limit(
             f"n_max={n_max} beyond cancellation budget {n_cancel} for a quadratically "
             "growing float64 map; trailing digits are rounding-dominated"
         )
-    defects_plus = {}
-    for k in range(1, n_max + 1):
-        (dp, sp), (dm, sm) = _defects_from_table(fp, fm, k, gauge, exact)
-        defects_plus[k] = dp
-        for sign, d, s in (("+", dp, sp), ("-", dm, sm)):
-            if d > defect_bound + s:
-                trace.hypothesis_ok = False
-                trace.hypothesis_violations.append((k, sign, d))
-            elif d > defect_bound:
-                trace.indeterminate_scales.append((k, sign, d, s))
-    g = None
-    for n in range(1, n_max + 1):
-        cp, cm = coefficients(n, exact)
-        g = vec.vsub(vec.vscale(cp, fp[n]), vec.vscale(cm, fm[n]))
-        trace.rows.append((n, g, defects_plus[n]))
-    return g, trace
+    return vec.point_form(trace.terms[-1]), trace
 
 
 class CorrectorEvaluator:
-    """Fixed-n corrector as a map, with term magnitudes for rounding envelopes."""
+    """Fixed-n corrector as a map, with term magnitudes for rounding envelopes.
+
+    Takes a point or a stack of points, like the map it corrects.
+    """
 
     def __init__(self, f, n: int):
         if n < 1:
@@ -349,23 +384,20 @@ class CorrectorEvaluator:
         self.f = f
         self.n = n
 
+    def _terms(self, z):
+        points, single = vec.as_stack(z)
+        cp, cm = coefficients(self.n, vec.is_exact(points))
+        fp, fm = _at_scales(self.f, points, (self.n,))
+        return cp * fp[0], cm * fm[0], single
+
     def value(self, z):
-        cp, cm = coefficients(self.n, isinstance(z, tuple))
-        zn = _scale_point(z, self.n)
-        return vec.vsub(vec.vscale(cp, self.f(zn)), vec.vscale(cm, self.f(vec.vneg(zn))))
+        tp, tm, single = self._terms(z)
+        return vec.unstack(tp - tm, single)
 
     def value_and_magnitude(self, z):
         """(corrector value, coordinate-wise sum of |term| magnitudes)."""
-        exact = isinstance(z, tuple)
-        cp, cm = coefficients(self.n, exact)
-        zn = _scale_point(z, self.n)
-        tp = vec.vscale(cp, self.f(zn))
-        tm = vec.vscale(cm, self.f(vec.vneg(zn)))
-        if exact:
-            mag = tuple(abs(a) + abs(b) for a, b in zip(tp, tm, strict=True))
-        else:
-            mag = np.abs(tp) + np.abs(tm)
-        return vec.vsub(tp, tm), mag
+        tp, tm, single = self._terms(z)
+        return vec.unstack(tp - tm, single), vec.unstack(np.abs(tp) + np.abs(tm), single)
 
     def __call__(self, z):
         return self.value(z)
@@ -410,38 +442,21 @@ def check_gap_bounds(f, x, n_values, defect_bound, beta, gauge: Gauge) -> GapBou
     """
     if not n_values:
         raise InputError("n_values must be nonempty")
-    n_top = max(n_values)
-    exact = isinstance(x, tuple)
-    fp, fm = scale_table(f, x, n_top + 2)
-    violations = []
-    indeterminate = []
-    for k in range(1, n_top + 2):
-        (dp, sp), (dm, sm) = _defects_from_table(fp, fm, k, gauge, exact)
-        for sign, d, s in (("+", dp, sp), ("-", dm, sm)):
-            if d > defect_bound + s:
-                violations.append((k, sign, d))
-            elif d > defect_bound:
-                indeterminate.append((k, sign, d, s))
+    ns = sorted(n_values)
+    exact = vec.is_exact(x)
+    fp, fm = scale_table(f, x, ns[-1] + 2)
+    violations, indeterminate = _classify(*_scale_defects(fp, fm, gauge, exact), defect_bound)
     series_upper = gap_series(beta, exact=exact).upper
     level_cap = defect_bound * (series_upper + 1)
-
-    def residual_at(n):
-        cp, cm = coefficients(n, exact)
-        expr = vec.vadd(
-            vec.vsub(fp[1], vec.vscale(cp, fp[n + 1])), vec.vscale(cm, fm[n + 1])
-        )
-        return gauge.evaluate(expr)
-
+    # levels n, then n + 1, for each n; r(n) = gauge(f(2x) - g_n(2x))
+    levels = np.array(ns + [n + 1 for n in ns])
+    cp, cm = _coefficient_columns(levels.tolist(), exact)
+    terms = cp * fp[levels] - cm * fm[levels]
+    residuals = gauge.evaluate((fp[1] - cp * fp[levels + 1]) + cm * fm[levels + 1]).tolist()
+    term_gaps = gauge.evaluate(terms[: len(ns)] - terms[len(ns) :]).tolist()
     rows = []
-    for n in sorted(n_values):
-        cp, cm = coefficients(n, exact)
-        cp1, cm1 = coefficients(n + 1, exact)
-        g_n = vec.vsub(vec.vscale(cp, fp[n]), vec.vscale(cm, fm[n]))
-        g_n1 = vec.vsub(vec.vscale(cp1, fp[n + 1]), vec.vscale(cm1, fm[n + 1]))
-        r_n = residual_at(n)
-        r_n1 = residual_at(n + 1)
+    for n, r_n, r_n1, term_gap in zip(ns, residuals, residuals[len(ns) :], term_gaps):
         step = abs(r_n1 - r_n)
-        term_gap = gauge.evaluate(vec.vsub(g_n, g_n1))
         bound = defect_bound * cauchy_gap(n, beta, exact)
         rows.append(
             GapBoundRow(

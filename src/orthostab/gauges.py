@@ -22,7 +22,6 @@ config validation instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,31 +95,34 @@ class Gauge:
         return self.kind == "euclidean-squared"
 
     def evaluate(self, y):
-        """Gauge value of y. Tuple input runs exactly over Fraction, array input in float64."""
-        if isinstance(y, tuple):
-            return self._evaluate_exact(y)
+        """Gauge value of y, reduced over its last axis.
+
+        One float64 vector gives a Python float and a stack of them an array of
+        values, row by row. Tuples and object arrays of Fraction run exactly.
+        """
+        if vec.is_exact(y):
+            return self._evaluate_exact(np.asarray(y, dtype=object))
         y = np.asarray(y, dtype=np.float64)
         if self.kind == "euclidean":
-            return float(np.sqrt(np.sum(y * y)))
-        if self.kind == "euclidean-squared":
-            return float(np.sum(y * y))
-        if self.kind == "beta-sum":
+            v = np.sqrt((y * y).sum(axis=-1))
+        elif self.kind == "euclidean-squared":
+            v = (y * y).sum(axis=-1)
+        elif self.kind == "beta-sum":
             a = np.abs(y)
-            if self.beta == 1:
-                return float(np.sum(a))
-            return float(np.sum(a ** self.beta))
-        if self.kind == "lp-quasi":
-            s = float(np.sum(np.abs(y) ** self.p))
-            return s ** (1.0 / self.p)
-        # p-power-of: evaluate the base and raise, so the transform is honest
-        # rather than a silent alias of beta-sum(p).
-        return self.base.evaluate(y) ** self.p
+            v = (a if self.beta == 1 else a ** self.beta).sum(axis=-1)
+        elif self.kind == "lp-quasi":
+            return float_pow((np.abs(y) ** self.p).sum(axis=-1), 1.0 / self.p)
+        else:
+            # p-power-of: evaluate the base and raise, so the transform is
+            # honest rather than a silent alias of beta-sum(p).
+            return float_pow(self.base.evaluate(y), self.p)
+        return v if isinstance(v, np.ndarray) else float(v)
 
-    def _evaluate_exact(self, y: tuple):
+    def _evaluate_exact(self, y: np.ndarray):
         if self.kind == "beta-sum" and self.beta == 1:
-            return sum((abs(c) for c in y), Fraction(0))
+            return np.abs(y).sum(axis=-1, initial=Fraction(0))
         if self.kind == "euclidean-squared":
-            return sum((c * c for c in y), Fraction(0))
+            return (y * y).sum(axis=-1, initial=Fraction(0))
         raise ConfigurationError(
             f"gauge {self.describe()} has no exact-rational evaluation"
         )
@@ -162,6 +164,18 @@ class Gauge:
             p=cfg.get("p"),
             base=base,
         )
+
+
+def float_pow(v, e):
+    """v ** e in Python float arithmetic, element by element for an array.
+
+    numpy's vectorised power can differ from Python's in the last bit, and
+    the values must not depend on whether they were computed one point at a
+    time or in a stack.
+    """
+    if not isinstance(v, np.ndarray):
+        return float(v) ** e
+    return np.array([a ** e for a in v.ravel().tolist()]).reshape(v.shape)
 
 
 def p_power_transform(gauge: Gauge, p: float) -> Gauge:

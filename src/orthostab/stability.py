@@ -33,19 +33,29 @@ from .corrector import (
     OPS_ENVELOPE,
     CorrectorEvaluator,
     SeriesEnclosure,
+    _at_scales,
     cauchy_gap,
     corrector_limit,
     gap_series,
-    gap_tail_bound,
-    three_eighths_defect,
+    three_eighths_expression,
 )
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge, p_power_transform
-from .maps import MapSpec, build_map
+from .maps import MapSpec, build_map, evaluate_stack
 from .orthogonality import OrthoRelation, sample_orthogonal_pairs
 from . import vectors as vec
 
 EQUATIONS = ("jensen-additive", "jensen-quadratic")
+
+# Sample points and pairs are evaluated this many at a time: each map call
+# gets a stack, and memory stays flat however many samples a run draws.
+BLOCK = 32
+
+
+def _blockwise(fn, *stacks):
+    """fn on consecutive blocks of BLOCK rows of equally long stacks, joined along axis 0."""
+    blocks = range(0, len(stacks[0]), BLOCK)
+    return np.concatenate([fn(*(s[i : i + BLOCK] for s in stacks)) for i in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +131,43 @@ def k_quadratic_quasi(p: float, rel_tol: float = 1e-12) -> SeriesEnclosure:
 # defect expressions
 
 
+def _jensen_rows(xs, ys, quadratic: bool):
+    """(rows, parts): the stack a Jensen defect evaluates its map at, for stacks xs, ys.
+
+    rows holds (x + y)/2, for the quadratic equation also (x - y)/2, then x
+    and y: parts blocks of one row per pair.
+    """
+    half = Fraction(1, 2) if vec.is_exact(xs) else 0.5
+    mids = [half * (xs + ys)] + ([half * (xs - ys)] if quadratic else [])
+    return np.concatenate(mids + [xs, ys]), len(mids) + 2
+
+
+def _jensen_expression(values, parts: int):
+    """2 f((x+y)/2) [+ 2 f((x-y)/2)] - (f(x) + f(y)), from values at _jensen_rows."""
+    *mids, fx, fy = np.split(values, parts)
+    two = Fraction(2) if values.dtype == object else 2.0
+    lhs = two * mids[0] if len(mids) == 1 else two * mids[0] + two * mids[1]
+    return lhs - (fx + fy)
+
+
+def _jensen_defect(f, x, y, gauge: Gauge, quadratic: bool):
+    xs, single = vec.as_stack(x)
+
+    def block(xb, yb):
+        rows, parts = _jensen_rows(xb, yb, quadratic)
+        return _jensen_expression(evaluate_stack(f, rows), parts)
+
+    return gauge.evaluate(vec.unstack(_blockwise(block, xs, vec.stack(y)), single))
+
+
 def jensen_additive_defect(f, x, y, gauge: Gauge):
-    """gauge(2 f((x+y)/2) - f(x) - f(y))."""
-    half = Fraction(1, 2) if isinstance(x, tuple) else 0.5
-    two = Fraction(2) if isinstance(x, tuple) else 2.0
-    m = vec.vscale(half, vec.vadd(x, y))
-    return gauge.evaluate(vec.vsub(vec.vscale(two, f(m)), vec.vadd(f(x), f(y))))
+    """gauge(2 f((x+y)/2) - f(x) - f(y)), for one pair or row by row for stacks."""
+    return _jensen_defect(f, x, y, gauge, quadratic=False)
 
 
 def jensen_quadratic_defect(f, x, y, gauge: Gauge):
-    """gauge(2 f((x+y)/2) + 2 f((x-y)/2) - f(x) - f(y))."""
-    half = Fraction(1, 2) if isinstance(x, tuple) else 0.5
-    two = Fraction(2) if isinstance(x, tuple) else 2.0
-    m1 = vec.vscale(half, vec.vadd(x, y))
-    m2 = vec.vscale(half, vec.vsub(x, y))
-    lhs = vec.vadd(vec.vscale(two, f(m1)), vec.vscale(two, f(m2)))
-    return gauge.evaluate(vec.vsub(lhs, vec.vadd(f(x), f(y))))
+    """gauge(2 f((x+y)/2) + 2 f((x-y)/2) - f(x) - f(y)), for one pair or row by row."""
+    return _jensen_defect(f, x, y, gauge, quadratic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +235,33 @@ class DefectDerivation:
         }
 
 
-def _max_row(name, bound, values_witnesses) -> CheckRow:
-    worst, witness, count = None, None, 0
-    for value, w in values_witnesses:
-        count += 1
-        if worst is None or value > worst:
-            worst, witness = value, w
-    if worst is None:
+def _max_row(name, bound, values, witnesses) -> CheckRow:
+    """The row maximum with the first witness that attains it.
+
+    values holds one value per witness. Python's max keeps the first of equal
+    maxima and, like a running comparison, lets no NaN after the first value
+    win.
+    """
+    values = values.tolist()
+    if not values:
         raise InputError(f"check {name!r} received no samples")
+    i = max(range(len(values)), key=values.__getitem__)
     return CheckRow(
         name=name,
         bound=bound,
-        max_value=worst,
-        ok=worst <= bound,
-        witness=witness,
-        checked=count,
+        max_value=values[i],
+        ok=values[i] <= bound,
+        witness=witnesses[i],
+        checked=len(values),
+    )
+
+
+def _value_at_zero(f, epsilon, inv_two_b, gauge: Gauge, dim: int, exact: bool) -> CheckRow:
+    zero = vec.vzero(dim, exact)
+    v0 = gauge.evaluate(f(zero))
+    bound = epsilon * inv_two_b
+    return CheckRow(
+        name="value-at-zero", bound=bound, max_value=v0, ok=v0 <= bound, witness=zero, checked=1
     )
 
 
@@ -232,6 +275,34 @@ def _pows(beta, exact):
     return 2.0 ** b, 2.0 ** -b
 
 
+def _pair_stacks(pairs):
+    """The first and the second members of a list of pairs, as two stacks."""
+    return vec.stack([x for x, _ in pairs]), vec.stack([y for _, y in pairs])
+
+
+def _derivation_inputs(points, pairs):
+    """(stack of points, exact, stacks of the first and of the second pair members)."""
+    if len(points) == 0 or len(pairs) == 0:
+        raise InputError("defect derivation needs nonempty points and pairs")
+    stack = vec.stack(points)
+    return (stack, vec.is_exact(stack), *_pair_stacks(pairs))
+
+
+def _chain_values(f, gauge: Gauge, expressions, stack) -> np.ndarray:
+    """Gauge values of per-point expressions, one row per expression.
+
+    expressions(fp, fm) gives the expression stacks for a block of points from
+    fp and fm, the values f(s x) and f(-s x) for s = 1/2, 1, 2, 4, which one
+    map call computes.
+    """
+
+    def block(points):
+        fp, fm = _at_scales(f, points, (-1, 0, 1, 2))
+        return np.stack([gauge.evaluate(e) for e in expressions(fp, fm)], axis=1)
+
+    return _blockwise(block, stack).T
+
+
 def derive_defect_bound_additive(f, epsilon, beta, gauge: Gauge, points, pairs) -> DefectDerivation:
     """Check the additive premises and walk the chain to the defect bound.
 
@@ -239,75 +310,37 @@ def derive_defect_bound_additive(f, epsilon, beta, gauge: Gauge, points, pairs) 
     pairs for the Jensen premise. The derived bound is
     additive_defect_factor(beta) * epsilon; it is certified only if every
     premise row passed, and the derivation says so rather than assuming it.
+    Each row evaluates its inequality on stacks of samples.
     """
-    if not points or not pairs:
-        raise InputError("defect derivation needs nonempty points and pairs")
-    exact = isinstance(points[0], tuple)
+    stack, exact, xs, ys = _derivation_inputs(points, pairs)
     two_b, inv_two_b = _pows(beta, exact)
-    one = Fraction(1) if exact else 1.0
-    factor = additive_defect_factor(beta, exact)
-    C = factor * epsilon
+    one, two, three, eight = (Fraction(k) for k in (1, 2, 3, 8)) if exact else (1.0, 2.0, 3.0, 8.0)
+
+    def expressions(fp, fm):
+        (f_half, f1, f2, f4), (_, f_neg, _, f_neg4) = fp, fm
+        return (
+            f1 + f_neg,
+            two * f_half - f1,
+            two * f1 - f2,
+            three * f4 - eight * f2 - f_neg4,
+            three_eighths_expression(f2, f4, f_neg4, exact),
+        )
+
+    premise = jensen_additive_defect(f, xs, ys, gauge)
+    oddness, halving, doubling, combination, defect = _chain_values(f, gauge, expressions, stack)
+    C = additive_defect_factor(beta, exact) * epsilon
     d = DefectDerivation(
         equation="jensen-additive", epsilon=epsilon, beta=beta, defect_bound=C
     )
-    d.premise_rows.append(
-        _max_row(
-            "jensen-additive-premise",
-            epsilon,
-            ((jensen_additive_defect(f, x, y, gauge), (x, y)) for x, y in pairs),
-        )
-    )
-    d.premise_rows.append(
-        _max_row(
-            "oddness-premise",
-            epsilon,
-            ((gauge.evaluate(vec.vadd(f(x), f(vec.vneg(x)))), x) for x in points),
-        )
-    )
-    zero = vec.vzero(vec.vlen(points[0]), exact)
-    d.chain_rows.append(
-        CheckRow(
-            name="value-at-zero",
-            bound=epsilon * inv_two_b,
-            max_value=gauge.evaluate(f(zero)),
-            ok=gauge.evaluate(f(zero)) <= epsilon * inv_two_b,
-            witness=zero,
-            checked=1,
-        )
-    )
-    half = Fraction(1, 2) if exact else 0.5
-    two = Fraction(2) if exact else 2.0
+    d.premise_rows.append(_max_row("jensen-additive-premise", epsilon, premise, pairs))
+    d.premise_rows.append(_max_row("oddness-premise", epsilon, oddness, points))
+    d.chain_rows.append(_value_at_zero(f, epsilon, inv_two_b, gauge, stack.shape[1], exact))
     halving_bound = (inv_two_b + one) * epsilon
-
-    def halving(x):
-        return gauge.evaluate(vec.vsub(vec.vscale(two, f(vec.vscale(half, x))), f(x)))
-
-    def doubling(x):
-        return gauge.evaluate(vec.vsub(vec.vscale(two, f(x)), f(vec.vscale(two, x))))
-
-    d.chain_rows.append(_max_row("halving", halving_bound, ((halving(x), x) for x in points)))
-    d.chain_rows.append(_max_row("doubling", halving_bound, ((doubling(x), x) for x in points)))
-
+    d.chain_rows.append(_max_row("halving", halving_bound, halving, points))
+    d.chain_rows.append(_max_row("doubling", halving_bound, doubling, points))
     comb_bound = (one + two_b + two_b ** 2 + two_b ** 3 + two_b ** 4) * epsilon
-    three, eight = (Fraction(3), Fraction(8)) if exact else (3.0, 8.0)
-
-    def combination(x):
-        x2, x4 = vec.vscale(two, x), vec.vscale(two * two, x)
-        expr = vec.vsub(
-            vec.vsub(vec.vscale(three, f(x4)), vec.vscale(eight, f(x2))), f(vec.vneg(x4))
-        )
-        return gauge.evaluate(expr)
-
-    d.chain_rows.append(
-        _max_row("fourth-scale-combination", comb_bound, ((combination(x), x) for x in points))
-    )
-    d.chain_rows.append(
-        _max_row(
-            "three-eighths-defect",
-            C,
-            ((three_eighths_defect(f, x, gauge), x) for x in points),
-        )
-    )
+    d.chain_rows.append(_max_row("fourth-scale-combination", comb_bound, combination, points))
+    d.chain_rows.append(_max_row("three-eighths-defect", C, defect, points))
     return d
 
 
@@ -317,82 +350,40 @@ def derive_defect_bound_quadratic(f, epsilon, beta, gauge: Gauge, points, pairs)
     pairs must include (0, 0), (0, x), (x, 0) style degenerate pairs (the
     runner guarantees this); the chain inequalities lean on them.
     """
-    if not points or not pairs:
-        raise InputError("defect derivation needs nonempty points and pairs")
-    exact = isinstance(points[0], tuple)
+    stack, exact, xs, ys = _derivation_inputs(points, pairs)
     two_b, inv_two_b = _pows(beta, exact)
-    one = Fraction(1) if exact else 1.0
-    factor = quadratic_defect_factor(beta, exact)
-    C = factor * epsilon
+    one, two, three, four, eight = (
+        (Fraction(k) for k in (1, 2, 3, 4, 8)) if exact else (1.0, 2.0, 3.0, 4.0, 8.0)
+    )
+
+    def expressions(fp, fm):
+        (f_half, f1, f2, f4), (f_neg_half, f_neg, _, f_neg4) = fp, fm
+        return (
+            two * f_half + two * f_neg_half - f1,
+            four * f_half - f1,
+            f1 - f_neg,
+            three * f4 - eight * f2 - f_neg4,
+            three_eighths_expression(f2, f4, f_neg4, exact),
+        )
+
+    premise = jensen_quadratic_defect(f, xs, ys, gauge)
+    halving_sum, halving_even, evenness, combination, defect = _chain_values(
+        f, gauge, expressions, stack
+    )
+    C = quadratic_defect_factor(beta, exact) * epsilon
     d = DefectDerivation(
         equation="jensen-quadratic", epsilon=epsilon, beta=beta, defect_bound=C
     )
-    d.premise_rows.append(
-        _max_row(
-            "jensen-quadratic-premise",
-            epsilon,
-            ((jensen_quadratic_defect(f, x, y, gauge), (x, y)) for x, y in pairs),
-        )
-    )
-    zero = vec.vzero(vec.vlen(points[0]), exact)
-    v0 = gauge.evaluate(f(zero))
-    d.chain_rows.append(
-        CheckRow(
-            name="value-at-zero",
-            bound=epsilon * inv_two_b,
-            max_value=v0,
-            ok=v0 <= epsilon * inv_two_b,
-            witness=zero,
-            checked=1,
-        )
-    )
-    half = Fraction(1, 2) if exact else 0.5
-    two = Fraction(2) if exact else 2.0
-    four = two * two
+    d.premise_rows.append(_max_row("jensen-quadratic-premise", epsilon, premise, pairs))
+    d.chain_rows.append(_value_at_zero(f, epsilon, inv_two_b, gauge, stack.shape[1], exact))
     halving_bound = (inv_two_b + one) * epsilon
-
-    def halving_sum(x):
-        xh = vec.vscale(half, x)
-        lhs = vec.vadd(vec.vscale(two, f(xh)), vec.vscale(two, f(vec.vneg(xh))))
-        return gauge.evaluate(vec.vsub(lhs, f(x)))
-
-    def halving_even(x):
-        return gauge.evaluate(vec.vsub(vec.vscale(four, f(vec.vscale(half, x))), f(x)))
-
-    d.chain_rows.append(
-        _max_row("halving-sum", halving_bound, ((halving_sum(x), x) for x in points))
-    )
-    d.chain_rows.append(
-        _max_row("halving-even", halving_bound, ((halving_even(x), x) for x in points))
-    )
+    d.chain_rows.append(_max_row("halving-sum", halving_bound, halving_sum, points))
+    d.chain_rows.append(_max_row("halving-even", halving_bound, halving_even, points))
     evenness_bound = two * inv_two_b * (inv_two_b + one) * epsilon
-
-    def evenness(x):
-        return gauge.evaluate(vec.vsub(f(x), f(vec.vneg(x))))
-
-    d.chain_rows.append(
-        _max_row("evenness-defect", evenness_bound, ((evenness(x), x) for x in points))
-    )
+    d.chain_rows.append(_max_row("evenness-defect", evenness_bound, evenness, points))
     comb_bound = (one + two_b + two * inv_two_b + two * inv_two_b ** 2) * epsilon
-    three, eight = (Fraction(3), Fraction(8)) if exact else (3.0, 8.0)
-
-    def combination(x):
-        x2, x4 = vec.vscale(two, x), vec.vscale(four, x)
-        expr = vec.vsub(
-            vec.vsub(vec.vscale(three, f(x4)), vec.vscale(eight, f(x2))), f(vec.vneg(x4))
-        )
-        return gauge.evaluate(expr)
-
-    d.chain_rows.append(
-        _max_row("fourth-scale-combination", comb_bound, ((combination(x), x) for x in points))
-    )
-    d.chain_rows.append(
-        _max_row(
-            "three-eighths-defect",
-            C,
-            ((three_eighths_defect(f, x, gauge), x) for x in points),
-        )
-    )
+    d.chain_rows.append(_max_row("fourth-scale-combination", comb_bound, combination, points))
+    d.chain_rows.append(_max_row("three-eighths-defect", C, defect, points))
     return d
 
 
@@ -439,43 +430,32 @@ def verify_conclusion(
     """
     if equation not in EQUATIONS:
         raise ConfigurationError(f"unknown equation {equation!r}")
-    if not pairs:
+    if len(pairs) == 0:
         raise InputError("verify_conclusion needs at least one pair")
-    exact = isinstance(pairs[0][0], tuple)
-    half = Fraction(1, 2) if exact else 0.5
-    two = Fraction(2) if exact else 2.0
-    max_defect = Fraction(0) if exact else 0.0
-    max_slack = Fraction(0) if exact else 0.0
     for x, y in pairs:
         if not relation.is_orthogonal(x, y):
             raise InputError(f"pair is not orthogonal under {relation.kind}: {x!r}, {y!r}")
-        m1 = vec.vscale(half, vec.vadd(x, y))
-        vm1, gm1 = evaluator.value_and_magnitude(m1)
-        vx, gx = evaluator.value_and_magnitude(x)
-        vy, gy = evaluator.value_and_magnitude(y)
-        if equation == "jensen-additive":
-            expr = vec.vsub(vec.vscale(two, vm1), vec.vadd(vx, vy))
-            if not exact:
-                mag = 2.0 * gm1 + gx + gy
-        else:
-            m2 = vec.vscale(half, vec.vsub(x, y))
-            vm2, gm2 = evaluator.value_and_magnitude(m2)
-            expr = vec.vsub(
-                vec.vadd(vec.vscale(two, vm1), vec.vscale(two, vm2)), vec.vadd(vx, vy)
-            )
-            if not exact:
-                mag = 2.0 * gm1 + 2.0 * gm2 + gx + gy
-        defect = gauge.evaluate(expr)
-        if defect > max_defect:
-            max_defect = defect
-        if not exact:
-            slack = gauge.evaluate(OPS_ENVELOPE * EPS * mag)
-            if slack > max_slack:
-                max_slack = slack
+    xs, ys = _pair_stacks(pairs)
+    exact = vec.is_exact(xs)
+    additive = equation == "jensen-additive"
+
+    def block(xb, yb):
+        """(defect, slack) for each pair of a block."""
+        rows, parts = _jensen_rows(xb, yb, quadratic=not additive)
+        values, mags = evaluator.value_and_magnitude(rows)
+        defects = gauge.evaluate(_jensen_expression(values, parts))
+        if exact:
+            return np.stack([defects, vec.zeros(defects.shape, exact)], axis=1)
+        *gm, gx, gy = np.split(mags, parts)
+        mag = 2.0 * gm[0] + gx + gy if additive else 2.0 * gm[0] + 2.0 * gm[1] + gx + gy
+        return np.stack([defects, gauge.evaluate(OPS_ENVELOPE * EPS * mag)], axis=1)
+
+    defects, slacks = _blockwise(block, xs, ys).T
+    zero = Fraction(0) if exact else 0.0
     return ConclusionCheck(
         n=evaluator.n,
-        max_defect=max_defect,
-        max_slack=max_slack,
+        max_defect=max([zero] + defects.tolist()),
+        max_slack=max([zero] + slacks.tolist()),
         pairs_checked=len(pairs),
     )
 
@@ -513,16 +493,13 @@ def uniqueness_probe(
     """
     if not (1 <= n_low < n_high):
         raise InputError(f"need 1 <= n_low < n_high, got {n_low}, {n_high}")
-    if not points:
+    if len(points) == 0:
         raise InputError("uniqueness_probe needs at least one point")
-    exact = isinstance(points[0], tuple)
-    lo = CorrectorEvaluator(f, n_low)
-    hi = CorrectorEvaluator(f, n_high)
-    worst = Fraction(0) if exact else 0.0
-    for x in points:
-        gap_val = gauge.evaluate(vec.vsub(lo.value(x), hi.value(x)))
-        if gap_val > worst:
-            worst = gap_val
+    stack = vec.stack(points)
+    low, high = CorrectorEvaluator(f, n_low), CorrectorEvaluator(f, n_high)
+    gaps = _blockwise(lambda block: gauge.evaluate(low.value(block) - high.value(block)), stack)
+    exact = vec.is_exact(stack)
+    worst = max([Fraction(0) if exact else 0.0] + gaps.tolist())
     if exact:
         total = sum(cauchy_gap(m, beta, exact=True) for m in range(n_low, n_high))
     else:
@@ -576,8 +553,16 @@ class StabilityConfig:
                 f"stability.mode {self.mode!r} does not match map backend "
                 f"{self.map_spec.backend!r}"
             )
-        if self.sample_count < 1 or self.pair_count < 1:
-            raise ConfigurationError("sample_count and pair_count must be >= 1")
+        if self.map_spec.domain_dim not in (None, self.dimension):
+            raise ConfigurationError(
+                f"map.matrix takes points of dimension {self.map_spec.domain_dim}, "
+                f"but space.dimension is {self.dimension}"
+            )
+        counts = (self.sample_count, self.pair_count, self.conclusion_pairs, self.uniqueness_points)
+        if min(counts) < 1:
+            raise ConfigurationError(
+                "sample_count, pair_count, conclusion_pairs and uniqueness_points must be >= 1"
+            )
         if self.n_max < 1:
             raise ConfigurationError(f"stability.n_max must be >= 1, got {self.n_max}")
         if self.quasi_corollary:
@@ -791,7 +776,7 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
     guard_events: list[str] = []
     precision_notes: list[str] = []
     indeterminate_total = 0
-    rows = []
+    terms, residuals = [], []
     for x in points:
         g, trace = corrector_limit(f, x, beta, C, work_gauge, config.n_max)
         for w in trace.precision_warnings:
@@ -809,10 +794,17 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
             k, sign, val = trace.hypothesis_violations[0]
             guard_events.append(
                 f"three-eighths defect exceeded its bound at scale {sign}2^{k - 1} of "
-                f"point {vec.as_float_list(x)}: {float(val):.6g}"
+                f"point {[float(c) for c in x]}: {float(val):.6g}"
             )
-        value = work_gauge.evaluate(vec.vsub(f(x), g))
-        residual = trace.residual_bound
+        terms.append(g)
+        residuals.append(trace.residual_bound)
+    values = _blockwise(
+        lambda block, g: work_gauge.evaluate(evaluate_stack(f, block) - g),
+        vec.stack(points),
+        vec.stack(terms),
+    ).tolist()
+    rows = []
+    for x, value, residual in zip(points, values, residuals):
         if bound > 0:
             ratio = value / bound
         else:

@@ -1,8 +1,12 @@
-"""Small vector helpers working across both scalar backends.
+"""Points and stacks of points on both scalar backends.
 
-Float64 vectors are 1-d numpy arrays; exact-rational vectors are tuples of
-fractions.Fraction. Every helper dispatches on the container type so callers
-never branch.
+A point is a 1-d float64 numpy array, or a tuple of fractions.Fraction on the
+exact-rational backend. A stack is an (N, d) array of N points: float64, or an
+object array of Fraction. Maps, gauges and the corrector work on stacks; a
+call with one point is the one-row case and answers in point form again.
+
+The v* helpers below act on single points and dispatch on the container
+type, so callers never branch.
 """
 
 from __future__ import annotations
@@ -11,11 +15,46 @@ from fractions import Fraction
 
 import numpy as np
 
-Vector = "np.ndarray | tuple[Fraction, ...]"
+
+def is_exact(x) -> bool:
+    """True for exact-rational points and stacks (tuples, object arrays)."""
+    return isinstance(x, tuple) or (isinstance(x, np.ndarray) and x.dtype.kind == "O")
 
 
-def is_exact(v) -> bool:
-    return isinstance(v, tuple)
+def as_stack(x):
+    """(stack, single): x as an (N, d) array, and whether x was one point.
+
+    x is a point, a stack, or a sequence of points of one backend.
+    """
+    if is_exact(x) or (isinstance(x, list) and x and is_exact(x[0])):
+        stack = np.asarray(x, dtype=object)
+    else:
+        stack = np.asarray(x, dtype=np.float64)
+    if stack.ndim == 1:
+        return stack[None, :], True
+    return stack, False
+
+
+def stack(points) -> np.ndarray:
+    """A point, a stack or a sequence of points as an (N, d) array."""
+    return as_stack(points)[0]
+
+
+def point_form(row):
+    """One row of a stack as a point: a tuple on the exact backend."""
+    return tuple(row) if row.dtype.kind == "O" else row
+
+
+def unstack(stack, single: bool):
+    """The stack itself, or its only row in point form when single."""
+    return point_form(stack[0]) if single else stack
+
+
+def zeros(shape, exact: bool) -> np.ndarray:
+    """An array of zeros: Fraction(0) entries on the exact backend."""
+    if exact:
+        return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape)
 
 
 def vadd(u, v):
@@ -65,15 +104,3 @@ def is_zero(v) -> bool:
 
 def vlen(v) -> int:
     return len(v)
-
-
-def as_float_list(v) -> list[float]:
-    """Plain-float coordinates, for JSON and CSV serialization."""
-    return [float(a) for a in v]
-
-
-def from_floats(coords, exact: bool):
-    """Build a backend vector from float coordinates (exact mode converts losslessly)."""
-    if exact:
-        return tuple(Fraction(float(c)) for c in coords)
-    return np.asarray([float(c) for c in coords], dtype=np.float64)

@@ -202,6 +202,63 @@ class TestRun:
         assert "verdict: FAIL" in text
 
 
+class TestMalformedRunConfigs:
+    """Each malformed input exits 1 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def run_expecting_config_error(tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        return err
+
+    def test_matrix_smaller_than_the_space(self, tmp_path, capsys):
+        doc = small_additive_doc()
+        doc["space"]["dimension"] = 3
+        doc["relation"]["dimension"] = 3
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "space.dimension is 3" in err
+
+    def test_ragged_matrix(self, tmp_path, capsys):
+        doc = small_additive_doc()
+        doc["map"]["matrix"] = [[2.0, 1.0], [0.5]]
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "map.matrix" in err
+
+    def test_sample_count_not_a_number(self, tmp_path, capsys):
+        doc = small_additive_doc(sample_count="abc")
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "stability.sample_count" in err
+
+    def test_fractional_sample_count(self, tmp_path, capsys):
+        doc = small_additive_doc(sample_count=2.5)
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "stability.sample_count" in err
+
+    def test_nan_noise_amplitude(self, tmp_path, capsys):
+        doc = small_additive_doc()
+        doc["map"]["noise_amplitude"] = float("nan")
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "map.noise_amplitude" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_map_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        doc = small_additive_doc()
+        doc["map"]["seed"] = seed
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "map.seed" in err
+
+    def test_largest_map_seed_runs(self, tmp_path, capsys):
+        doc = small_additive_doc(
+            sample_count=4, pair_count=4, conclusion_pairs=4, uniqueness_points=2
+        )
+        doc["map"]["seed"] = 2**64 - 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 class TestCheckAxioms:
     def test_gauge_target_passes(self, tmp_path, capsys):
         cfg = write_config(

@@ -180,8 +180,8 @@ class TestGapSeries:
 class TestScaleTable:
     def test_table_contents(self):
         fp, fm = scale_table(cubic_exact, (Fraction(1),), 3)
-        assert fp == [(1,), (8,), (64,), (512,)]
-        assert fm == [(-1,), (-8,), (-64,), (-512,)]
+        assert fp.tolist() == [[1], [8], [64], [512]]
+        assert fm.tolist() == [[-1], [-8], [-64], [-512]]
 
     def test_float_overflow_guard(self):
         f = lambda t: np.array([t[0] ** 3])
