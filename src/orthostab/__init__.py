@@ -12,7 +12,6 @@ zero-tolerance oracles.
 from .errors import (
     ConfigurationError,
     InputError,
-    PrecisionWarning,
     RangeError,
     SamplerError,
 )
@@ -52,11 +51,8 @@ from .corrector import (
     check_gap_bounds,
     coefficients,
     corrector_limit,
-    corrector_residual,
-    corrector_term,
     gap_series,
     gap_tail_bound,
-    three_eighths_defect,
 )
 from .stability import (
     EQUATIONS,
@@ -108,7 +104,6 @@ __all__ = [
     "InputError",
     "MapSpec",
     "OrthoRelation",
-    "PrecisionWarning",
     "RangeError",
     "SampleRow",
     "SamplerError",
@@ -125,8 +120,6 @@ __all__ = [
     "check_relation_axioms",
     "coefficients",
     "corrector_limit",
-    "corrector_residual",
-    "corrector_term",
     "derive_defect_bound_additive",
     "derive_defect_bound_quadratic",
     "encode_point",
@@ -146,7 +139,6 @@ __all__ = [
     "run_stability",
     "sample_orthogonal_pairs",
     "scaled_noise",
-    "three_eighths_defect",
     "uniqueness_probe",
     "verify_conclusion",
 ]

@@ -223,7 +223,7 @@ def load_stability_config(
         n_max=parse_int(st.get("n_max", 20), "stability.n_max"),
         seed=parse_int(st.get("seed", 0), "stability.seed"),
         mode=mode,
-        quasi_corollary=bool(st.get("quasi_corollary", False)),
+        quasi_corollary=st.get("quasi_corollary", False),
         conclusion_pairs=parse_int(st.get("conclusion_pairs", 100), "stability.conclusion_pairs"),
         uniqueness_points=parse_int(st.get("uniqueness_points", 50), "stability.uniqueness_points"),
         point_scale=parse_float(st.get("point_scale", 1.0), "stability.point_scale"),
@@ -393,28 +393,35 @@ def _axiom_summary(reports, quasi_info) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _axiom_int(doc: dict, key: str, default: int, least: int = 1) -> int:
+    value = parse_int(doc.get(key, default), key)
+    if value < least:
+        raise ConfigurationError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 def cmd_check_axioms(args) -> int:
     doc = _load_json(args.config)
     extra = set(doc) - _AXIOM_KEYS
     if extra:
         raise ConfigurationError(f"check-axioms config has unknown fields {sorted(extra)}")
     target = doc.get("target")
-    seed = parse_int(doc.get("seed", 0), "seed")
+    seed = _axiom_int(doc, "seed", 0, least=0)
     reports = []
     quasi_info = None
     if target == "gauge":
         if "gauge" not in doc:
             raise ConfigurationError("check-axioms target 'gauge' needs a gauge section")
         gauge = Gauge.from_config(doc["gauge"])
-        dimension = parse_int(doc.get("dimension", 2), "dimension")
-        n_samples = parse_int(doc.get("samples", 1000), "samples")
+        dimension = _axiom_int(doc, "dimension", 2)
+        n_samples = _axiom_int(doc, "samples", 1000)
         scale = parse_float(doc.get("scale", 1.0), "scale")
         samples = make_gauge_samples(dimension, n_samples, seed, scale)
         reports.append(check_fnorm_axioms(gauge, samples))
         beta = parse_float(doc.get("beta", gauge.homogeneity_degree), "beta")
         reports.append(check_beta_homogeneity(gauge, beta, samples))
         if gauge.kind == "lp-quasi":
-            trials = parse_int(doc.get("quasi_trials", 2000), "quasi_trials")
+            trials = _axiom_int(doc, "quasi_trials", 2000)
             est = estimate_quasi_constant(gauge, trials, seed, dimension=dimension)
             analytic = gauge.quasi_constant
             quasi_info = {
@@ -430,7 +437,9 @@ def cmd_check_axioms(args) -> int:
         systems = doc.get("systems")
         if systems is None:
             systems = [doc["system"]] if "system" in doc else list(AXIOM_SYSTEMS)
-        count = parse_int(doc.get("count", 64), "count")
+        if not isinstance(systems, list) or not systems:
+            raise ConfigurationError(f"systems must be a nonempty list, got {systems!r}")
+        count = _axiom_int(doc, "count", 64)
         for system in systems:
             reports.append(check_relation_axioms(relation, system, count=count, seed=seed))
     else:

@@ -2,14 +2,15 @@
 
 For a map f the n-th corrector term at x is
 
-    corrector_term(f, x, n) = c_plus(n) * f(2^n x) - c_minus(n) * f(-2^n x)
+    g_n(x) = c_plus(n) * f(2^n x) - c_minus(n) * f(-2^n x)
 
-with c_plus(n) = (2^n + 1) / 2^(2n+1) and c_minus(n) = (2^n - 1) / 2^(2n+1).
-The sequence is stationary on maps that are additive and odd (where it equals
-f itself) and on maps that are quadratic and even, and it contracts toward a
-nearby such map whenever the three-eighths defect
+with c_plus(n) = (2^n + 1) / 2^(2n+1) and c_minus(n) = (2^n - 1) / 2^(2n+1);
+CorrectorEvaluator computes it. The sequence is stationary on maps that are
+additive and odd (where it equals f itself) and on maps that are quadratic and
+even, and it contracts toward a nearby such map whenever the three-eighths
+defect
 
-    three_eighths_defect(f, x) = gauge(f(2x) - 3/8 f(4x) + 1/8 f(-4x))
+    gauge(f(2x) - 3/8 f(4x) + 1/8 f(-4x))
 
 is uniformly small: consecutive terms differ by at most that defect bound
 times
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, PrecisionWarning, RangeError
+from .errors import ConfigurationError, InputError, RangeError
 from .gauges import Gauge
 from .maps import evaluate_stack
 from . import vectors as vec
@@ -90,52 +91,6 @@ def _coefficient_columns(ns, exact: bool):
     """(c_plus, c_minus) for each n in ns, as columns that scale the rows of a stack."""
     c = np.array([coefficients(n, exact) for n in ns], dtype=object if exact else np.float64)
     return c[:, :1], c[:, 1:]
-
-
-def three_eighths_defect(f, x, gauge: Gauge):
-    """gauge(f(2x) - 3/8 f(4x) + 1/8 f(-4x)), the contraction hypothesis at x.
-
-    x is a point or a stack of points; a stack gives one value per row.
-    """
-    points, single = vec.as_stack(x)
-    fp, fm = _at_scales(f, points, (1, 2))
-    expr = three_eighths_expression(fp[0], fp[1], fm[1], vec.is_exact(points))
-    return gauge.evaluate(vec.unstack(expr, single))
-
-
-def corrector_term(f, x, n: int, n_cancel: int = N_CANCEL_DEFAULT, warn: bool = True):
-    """c_plus(n) f(2^n x) - c_minus(n) f(-2^n x), at a point or each row of a stack.
-
-    Emits PrecisionWarning when a float64 quadratically growing map is pushed
-    past n_cancel, where cancellation costs about n bits.
-    """
-    if (
-        warn
-        and not vec.is_exact(x)
-        and getattr(f, "growth_hint", "unknown") == "quadratic"
-        and n > n_cancel
-    ):
-        import warnings
-
-        warnings.warn(
-            f"corrector term n={n} beyond cancellation budget {n_cancel} for a "
-            "quadratically growing float64 map",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    return CorrectorEvaluator(f, n).value(x)
-
-
-def corrector_residual(f, x, n: int, gauge: Gauge):
-    """gauge(f(2x) - g_n(2x)) where g_n is the n-th corrector term.
-
-    Expanded, this is gauge(f(2x) - c_plus(n) f(2^(n+1) x) + c_minus(n) f(-2^(n+1) x));
-    at n = 1 it coincides with the three-eighths defect at x.
-    """
-    points, single = vec.as_stack(x)
-    cp, cm = coefficients(n, vec.is_exact(points))
-    fp, fm = _at_scales(f, points, (1, n + 1))
-    return gauge.evaluate(vec.unstack((fp[0] - cp * fp[1]) + cm * fm[1], single))
 
 
 def cauchy_gap(n: int, beta, exact: bool = False):
@@ -326,7 +281,6 @@ def corrector_limit(
     defect_bound,
     gauge: Gauge,
     n_max: int,
-    n_cancel: int = N_CANCEL_DEFAULT,
 ):
     """Run the corrector to index n_max and certify the truncation debt.
 
@@ -363,10 +317,10 @@ def corrector_limit(
     if (
         not exact
         and getattr(f, "growth_hint", "unknown") == "quadratic"
-        and n_max > n_cancel
+        and n_max > N_CANCEL_DEFAULT
     ):
         trace.precision_warnings.append(
-            f"n_max={n_max} beyond cancellation budget {n_cancel} for a quadratically "
+            f"n_max={n_max} beyond cancellation budget {N_CANCEL_DEFAULT} for a quadratically "
             "growing float64 map; trailing digits are rounding-dominated"
         )
     return vec.point_form(trace.terms[-1]), trace
@@ -406,7 +360,7 @@ class CorrectorEvaluator:
 @dataclass
 class GapBoundRow:
     n: int
-    residual: object          # corrector_residual at this n
+    residual: object          # gauge(f(2x) - g_n(2x))
     residual_next: object
     residual_step: object     # |residual(n+1) - residual(n)|
     term_gap: object          # gauge(g_n - g_(n+1))

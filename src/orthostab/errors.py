@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the workbench."""
+"""Exception types shared across the workbench."""
 
 
 class ConfigurationError(ValueError):
@@ -15,7 +15,3 @@ class SamplerError(RuntimeError):
 
 class RangeError(ArithmeticError):
     """A float64 evaluation left the representable range (inf or nan)."""
-
-
-class PrecisionWarning(UserWarning):
-    """Result is returned but cancellation may dominate the trailing digits."""

@@ -22,6 +22,7 @@ config validation instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +50,10 @@ class Gauge:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"gauge.kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("beta", "p"):
+            value = getattr(self, name)
+            if value is not None and not is_number(value):
+                raise ConfigurationError(f"gauge.{name} must be a number, got {value!r}")
         if self.kind == "beta-sum":
             if self.beta is None or not (self.beta > 0):
                 raise ConfigurationError(f"gauge.beta must be positive, got {self.beta!r}")
@@ -166,6 +171,11 @@ class Gauge:
         )
 
 
+def is_number(value) -> bool:
+    """True for a real number of any type, but not for a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def float_pow(v, e):
     """v ** e in Python float arithmetic, element by element for an array.
 
@@ -258,18 +268,14 @@ def check_fnorm_axioms(
     )
 
     # (3) gauge(x + y) <= gauge(x) + gauge(y)
-    worst_excess, worst_w = 0.0, None
+    worst_excess, worst_w, tri_ok = 0.0, None, True
     for x, y in samples:
         lhs = gauge.evaluate(vec.vadd(x, y))
         rhs = gauge.evaluate(x) + gauge.evaluate(y)
+        tri_ok = tri_ok and lhs <= rhs + rel_tol * rhs
         excess = lhs - rhs
         if excess > worst_excess:
             worst_excess, worst_w = excess, (x, y, lhs, rhs)
-    tri_ok = all(
-        gauge.evaluate(vec.vadd(x, y))
-        <= gauge.evaluate(x) + gauge.evaluate(y) + rel_tol * (gauge.evaluate(x) + gauge.evaluate(y))
-        for x, y in samples
-    )
     report.checks.append(AxiomCheck("3-triangle", tri_ok, worst_excess, worst_w))
 
     # (4)-(6) limit axioms along the finite sequence

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, SamplerError
 from .gauges import Gauge
+from .maps import parse_float, parse_int
 from .reporting import AxiomCheck, AxiomReport
 from . import vectors as vec
 
@@ -101,9 +102,9 @@ class OrthoRelation:
         gauge = Gauge.from_config(cfg["gauge"]) if cfg.get("gauge") else default_gauge
         return OrthoRelation(
             kind=cfg["kind"],
-            dimension=int(cfg["dimension"]),
+            dimension=parse_int(cfg["dimension"], "relation.dimension"),
             gauge=gauge if cfg["kind"] == "isosceles" else None,
-            tolerance=float(cfg.get("tolerance", 1e-9)),
+            tolerance=parse_float(cfg.get("tolerance", 1e-9), "relation.tolerance"),
         )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def jsonable(value):
@@ -33,12 +33,7 @@ class AxiomCheck:
     worst_witness: object = None
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "worst_value": jsonable(self.worst_value),
-            "worst_witness": jsonable(self.worst_witness),
-        }
+        return jsonable(asdict(self))
 
 
 @dataclass

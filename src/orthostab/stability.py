@@ -23,7 +23,7 @@ used after transporting a p-quasi-norm problem through p_power_transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -37,12 +37,12 @@ from .corrector import (
     cauchy_gap,
     corrector_limit,
     gap_series,
-    three_eighths_expression,
 )
 from .errors import ConfigurationError, InputError
-from .gauges import Gauge, p_power_transform
+from .gauges import Gauge, is_number, p_power_transform
 from .maps import MapSpec, build_map, evaluate_stack
 from .orthogonality import OrthoRelation, sample_orthogonal_pairs
+from .reporting import jsonable
 from . import vectors as vec
 
 EQUATIONS = ("jensen-additive", "jensen-quadratic")
@@ -104,7 +104,12 @@ def k_quadratic(beta, tol: float = 1e-12, exact: bool = False) -> SeriesEnclosur
     return _k_enclosure(beta, quadratic_defect_factor, tol, exact)
 
 
-def _quasi_enclosure(base: SeriesEnclosure, p: float) -> SeriesEnclosure:
+def _quasi_enclosure(k_fn, p: float, rel_tol: float) -> SeriesEnclosure:
+    """Enclosure of k_fn(p)^(1/p), with relative width about rel_tol."""
+    if not (0 < p <= 1):
+        raise ConfigurationError(f"quasi exponent p must lie in (0, 1], got {p!r}")
+    rough = k_fn(p, tol=1e-6)
+    base = k_fn(p, tol=max(rel_tol * p * rough.lower * 0.5, 1e-13))
     inv = 1.0 / p
     lo = base.lower ** inv * (1.0 - 4 * EPS)
     hi = base.upper ** inv * (1.0 + 4 * EPS)
@@ -113,18 +118,12 @@ def _quasi_enclosure(base: SeriesEnclosure, p: float) -> SeriesEnclosure:
 
 def k_additive_quasi(p: float, rel_tol: float = 1e-12) -> SeriesEnclosure:
     """Enclosure of k_additive(p)^(1/p); width is relative (see rel_tol)."""
-    if not (0 < p <= 1):
-        raise ConfigurationError(f"quasi exponent p must lie in (0, 1], got {p!r}")
-    rough = k_additive(p, tol=1e-6)
-    return _quasi_enclosure(k_additive(p, tol=max(rel_tol * p * rough.lower * 0.5, 1e-13)), p)
+    return _quasi_enclosure(k_additive, p, rel_tol)
 
 
 def k_quadratic_quasi(p: float, rel_tol: float = 1e-12) -> SeriesEnclosure:
     """Enclosure of k_quadratic(p)^(1/p); width is relative (see rel_tol)."""
-    if not (0 < p <= 1):
-        raise ConfigurationError(f"quasi exponent p must lie in (0, 1], got {p!r}")
-    rough = k_quadratic(p, tol=1e-6)
-    return _quasi_enclosure(k_quadratic(p, tol=max(rel_tol * p * rough.lower * 0.5, 1e-13)), p)
+    return _quasi_enclosure(k_quadratic, p, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +173,79 @@ def jensen_quadratic_defect(f, x, y, gauge: Gauge):
 # premise + chain derivation
 
 
+@dataclass(frozen=True)
+class Check:
+    """One premise or chain inequality: max over its inputs of gauge(sum) <= bound.
+
+    bound maps (epsilon, 2^beta, 2^-beta) to the bound; None means the defect
+    bound C. terms lists (coefficient, k, sign) for the sum of
+    coefficient * f(sign 2^k x) over the sample points x, summed left to
+    right, or names a sum of another shape: JENSEN, the Jensen defect of the
+    equation on the orthogonal pairs, or AT_ZERO, f(0).
+    """
+
+    name: str
+    premise: bool
+    bound: object
+    terms: object
+
+
+JENSEN = "jensen"
+AT_ZERO = "at-zero"
+# The scales k the term lists may use; one map call evaluates f(+-2^k x) at all of them.
+SCALES = (-1, 0, 1, 2)
+
+# Bounds as functions of (epsilon, 2^beta, 2^-beta). Int literals give the
+# same bound on both backends.
+_EPS_BOUND = lambda e, tb, itb: e
+_ZERO_BOUND = lambda e, tb, itb: e * itb
+_HALVING_BOUND = lambda e, tb, itb: (itb + 1) * e
+_EVENNESS_BOUND = lambda e, tb, itb: 2 * itb * (itb + 1) * e
+_ADDITIVE_COMBINATION_BOUND = lambda e, tb, itb: (1 + tb + tb ** 2 + tb ** 3 + tb ** 4) * e
+_QUADRATIC_COMBINATION_BOUND = lambda e, tb, itb: (1 + tb + 2 * itb + 2 * itb ** 2) * e
+_COMBINATION = ((3, 2, "+"), (-8, 1, "+"), (-1, 2, "-"))
+_THREE_EIGHTHS = ((1, 1, "+"), (Fraction(-3, 8), 2, "+"), (Fraction(1, 8), 2, "-"))
+
+# Each equation's checks in report order: the paper's chain from the Jensen
+# premise through oddness or evenness, halving, doubling and the fourth-scale
+# combination to the three-eighths defect that drives the corrector.
+CHECKS = {
+    "jensen-additive": (
+        Check("jensen-additive-premise", True, _EPS_BOUND, JENSEN),
+        Check("oddness-premise", True, _EPS_BOUND, ((1, 0, "+"), (1, 0, "-"))),
+        Check("value-at-zero", False, _ZERO_BOUND, AT_ZERO),
+        Check("halving", False, _HALVING_BOUND, ((2, -1, "+"), (-1, 0, "+"))),
+        Check("doubling", False, _HALVING_BOUND, ((2, 0, "+"), (-1, 1, "+"))),
+        Check("fourth-scale-combination", False, _ADDITIVE_COMBINATION_BOUND, _COMBINATION),
+        Check("three-eighths-defect", False, None, _THREE_EIGHTHS),
+    ),
+    "jensen-quadratic": (
+        Check("jensen-quadratic-premise", True, _EPS_BOUND, JENSEN),
+        Check("value-at-zero", False, _ZERO_BOUND, AT_ZERO),
+        Check("halving-sum", False, _HALVING_BOUND, ((2, -1, "+"), (2, -1, "-"), (-1, 0, "+"))),
+        Check("halving-even", False, _HALVING_BOUND, ((4, -1, "+"), (-1, 0, "+"))),
+        Check("evenness-defect", False, _EVENNESS_BOUND, ((1, 0, "+"), (-1, 0, "-"))),
+        Check("fourth-scale-combination", False, _QUADRATIC_COMBINATION_BOUND, _COMBINATION),
+        Check("three-eighths-defect", False, None, _THREE_EIGHTHS),
+    ),
+}
+
+
+def _term_sum(terms, fp, fm):
+    """The sum of c * f(sign 2^k x) over terms (c, i, sign), left to right.
+
+    fp[i] and fm[i] hold f(2^k x) and f(-2^k x) for k = SCALES[i]. A
+    coefficient of 1 adds the value itself, and a - b is summed as
+    a + (-1) * b, which IEEE arithmetic rounds the same way.
+    """
+    total = None
+    for c, i, sign in terms:
+        t = (fp if sign == "+" else fm)[i]
+        t = t if c == 1 else c * t
+        total = t if total is None else total + t
+    return total
+
+
 @dataclass
 class CheckRow:
     name: str
@@ -184,16 +256,7 @@ class CheckRow:
     checked: int = 0
 
     def to_dict(self) -> dict:
-        from .reporting import jsonable
-
-        return {
-            "name": self.name,
-            "bound": jsonable(self.bound),
-            "max_value": jsonable(self.max_value),
-            "ok": self.ok,
-            "witness": jsonable(self.witness),
-            "checked": self.checked,
-        }
+        return jsonable(asdict(self))
 
 
 @dataclass
@@ -220,8 +283,6 @@ class DefectDerivation:
         return self.premises_ok and self.chain_ok
 
     def to_dict(self) -> dict:
-        from .reporting import jsonable
-
         return {
             "equation": self.equation,
             "epsilon": jsonable(self.epsilon),
@@ -256,15 +317,6 @@ def _max_row(name, bound, values, witnesses) -> CheckRow:
     )
 
 
-def _value_at_zero(f, epsilon, inv_two_b, gauge: Gauge, dim: int, exact: bool) -> CheckRow:
-    zero = vec.vzero(dim, exact)
-    v0 = gauge.evaluate(f(zero))
-    bound = epsilon * inv_two_b
-    return CheckRow(
-        name="value-at-zero", bound=bound, max_value=v0, ok=v0 <= bound, witness=zero, checked=1
-    )
-
-
 def _pows(beta, exact):
     """(2^b, 2^-b) in the right scalar type."""
     if exact:
@@ -280,27 +332,45 @@ def _pair_stacks(pairs):
     return vec.stack([x for x, _ in pairs]), vec.stack([y for _, y in pairs])
 
 
-def _derivation_inputs(points, pairs):
-    """(stack of points, exact, stacks of the first and of the second pair members)."""
+def _derive(equation: str, f, epsilon, beta, gauge: Gauge, points, pairs) -> DefectDerivation:
+    """Evaluate CHECKS[equation] and assemble the derivation.
+
+    The Jensen premise runs on the pairs; every term-list row is evaluated on
+    stacks of sample points, from one map call per block.
+    """
     if len(points) == 0 or len(pairs) == 0:
         raise InputError("defect derivation needs nonempty points and pairs")
     stack = vec.stack(points)
-    return (stack, vec.is_exact(stack), *_pair_stacks(pairs))
-
-
-def _chain_values(f, gauge: Gauge, expressions, stack) -> np.ndarray:
-    """Gauge values of per-point expressions, one row per expression.
-
-    expressions(fp, fm) gives the expression stacks for a block of points from
-    fp and fm, the values f(s x) and f(-s x) for s = 1/2, 1, 2, 4, which one
-    map call computes.
-    """
+    exact = vec.is_exact(stack)
+    tb, itb = _pows(beta, exact)
+    factor = additive_defect_factor if equation == "jensen-additive" else quadratic_defect_factor
+    C = factor(beta, exact) * epsilon
+    checks = CHECKS[equation]
+    cast = Fraction if exact else float
+    sums = [
+        [(cast(c), SCALES.index(k), sign) for c, k, sign in check.terms]
+        for check in checks
+        if check.terms not in (JENSEN, AT_ZERO)
+    ]
 
     def block(points):
-        fp, fm = _at_scales(f, points, (-1, 0, 1, 2))
-        return np.stack([gauge.evaluate(e) for e in expressions(fp, fm)], axis=1)
+        fp, fm = _at_scales(f, points, SCALES)
+        return np.stack([gauge.evaluate(_term_sum(terms, fp, fm)) for terms in sums], axis=1)
 
-    return _blockwise(block, stack).T
+    jensen = _jensen_defect(f, *_pair_stacks(pairs), gauge, equation == "jensen-quadratic")
+    per_point = iter(_blockwise(block, stack).T)
+    d = DefectDerivation(equation=equation, epsilon=epsilon, beta=beta, defect_bound=C)
+    for check in checks:
+        bound = C if check.bound is None else check.bound(epsilon, tb, itb)
+        if check.terms == JENSEN:
+            row = _max_row(check.name, bound, jensen, pairs)
+        elif check.terms == AT_ZERO:
+            zero = vec.vzero(stack.shape[1], exact)
+            row = _max_row(check.name, bound, np.array([gauge.evaluate(f(zero))]), [zero])
+        else:
+            row = _max_row(check.name, bound, next(per_point), points)
+        (d.premise_rows if check.premise else d.chain_rows).append(row)
+    return d
 
 
 def derive_defect_bound_additive(f, epsilon, beta, gauge: Gauge, points, pairs) -> DefectDerivation:
@@ -310,38 +380,8 @@ def derive_defect_bound_additive(f, epsilon, beta, gauge: Gauge, points, pairs) 
     pairs for the Jensen premise. The derived bound is
     additive_defect_factor(beta) * epsilon; it is certified only if every
     premise row passed, and the derivation says so rather than assuming it.
-    Each row evaluates its inequality on stacks of samples.
     """
-    stack, exact, xs, ys = _derivation_inputs(points, pairs)
-    two_b, inv_two_b = _pows(beta, exact)
-    one, two, three, eight = (Fraction(k) for k in (1, 2, 3, 8)) if exact else (1.0, 2.0, 3.0, 8.0)
-
-    def expressions(fp, fm):
-        (f_half, f1, f2, f4), (_, f_neg, _, f_neg4) = fp, fm
-        return (
-            f1 + f_neg,
-            two * f_half - f1,
-            two * f1 - f2,
-            three * f4 - eight * f2 - f_neg4,
-            three_eighths_expression(f2, f4, f_neg4, exact),
-        )
-
-    premise = jensen_additive_defect(f, xs, ys, gauge)
-    oddness, halving, doubling, combination, defect = _chain_values(f, gauge, expressions, stack)
-    C = additive_defect_factor(beta, exact) * epsilon
-    d = DefectDerivation(
-        equation="jensen-additive", epsilon=epsilon, beta=beta, defect_bound=C
-    )
-    d.premise_rows.append(_max_row("jensen-additive-premise", epsilon, premise, pairs))
-    d.premise_rows.append(_max_row("oddness-premise", epsilon, oddness, points))
-    d.chain_rows.append(_value_at_zero(f, epsilon, inv_two_b, gauge, stack.shape[1], exact))
-    halving_bound = (inv_two_b + one) * epsilon
-    d.chain_rows.append(_max_row("halving", halving_bound, halving, points))
-    d.chain_rows.append(_max_row("doubling", halving_bound, doubling, points))
-    comb_bound = (one + two_b + two_b ** 2 + two_b ** 3 + two_b ** 4) * epsilon
-    d.chain_rows.append(_max_row("fourth-scale-combination", comb_bound, combination, points))
-    d.chain_rows.append(_max_row("three-eighths-defect", C, defect, points))
-    return d
+    return _derive("jensen-additive", f, epsilon, beta, gauge, points, pairs)
 
 
 def derive_defect_bound_quadratic(f, epsilon, beta, gauge: Gauge, points, pairs) -> DefectDerivation:
@@ -350,41 +390,7 @@ def derive_defect_bound_quadratic(f, epsilon, beta, gauge: Gauge, points, pairs)
     pairs must include (0, 0), (0, x), (x, 0) style degenerate pairs (the
     runner guarantees this); the chain inequalities lean on them.
     """
-    stack, exact, xs, ys = _derivation_inputs(points, pairs)
-    two_b, inv_two_b = _pows(beta, exact)
-    one, two, three, four, eight = (
-        (Fraction(k) for k in (1, 2, 3, 4, 8)) if exact else (1.0, 2.0, 3.0, 4.0, 8.0)
-    )
-
-    def expressions(fp, fm):
-        (f_half, f1, f2, f4), (f_neg_half, f_neg, _, f_neg4) = fp, fm
-        return (
-            two * f_half + two * f_neg_half - f1,
-            four * f_half - f1,
-            f1 - f_neg,
-            three * f4 - eight * f2 - f_neg4,
-            three_eighths_expression(f2, f4, f_neg4, exact),
-        )
-
-    premise = jensen_quadratic_defect(f, xs, ys, gauge)
-    halving_sum, halving_even, evenness, combination, defect = _chain_values(
-        f, gauge, expressions, stack
-    )
-    C = quadratic_defect_factor(beta, exact) * epsilon
-    d = DefectDerivation(
-        equation="jensen-quadratic", epsilon=epsilon, beta=beta, defect_bound=C
-    )
-    d.premise_rows.append(_max_row("jensen-quadratic-premise", epsilon, premise, pairs))
-    d.chain_rows.append(_value_at_zero(f, epsilon, inv_two_b, gauge, stack.shape[1], exact))
-    halving_bound = (inv_two_b + one) * epsilon
-    d.chain_rows.append(_max_row("halving-sum", halving_bound, halving_sum, points))
-    d.chain_rows.append(_max_row("halving-even", halving_bound, halving_even, points))
-    evenness_bound = two * inv_two_b * (inv_two_b + one) * epsilon
-    d.chain_rows.append(_max_row("evenness-defect", evenness_bound, evenness, points))
-    comb_bound = (one + two_b + two * inv_two_b + two * inv_two_b ** 2) * epsilon
-    d.chain_rows.append(_max_row("fourth-scale-combination", comb_bound, combination, points))
-    d.chain_rows.append(_max_row("three-eighths-defect", C, defect, points))
-    return d
+    return _derive("jensen-quadratic", f, epsilon, beta, gauge, points, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +407,7 @@ class ConclusionCheck:
     ok: bool | None = None
 
     def to_dict(self) -> dict:
-        from .reporting import jsonable
-
-        return {
-            "n": self.n,
-            "max_defect": jsonable(self.max_defect),
-            "max_slack": jsonable(self.max_slack),
-            "pairs_checked": self.pairs_checked,
-            "bound": jsonable(self.bound),
-            "ok": self.ok,
-        }
+        return jsonable(asdict(self))
 
 
 def verify_conclusion(
@@ -470,16 +467,7 @@ class UniquenessCheck:
     points_checked: int
 
     def to_dict(self) -> dict:
-        from .reporting import jsonable
-
-        return {
-            "n_low": self.n_low,
-            "n_high": self.n_high,
-            "max_gap": jsonable(self.max_gap),
-            "bound": jsonable(self.bound),
-            "ok": self.ok,
-            "points_checked": self.points_checked,
-        }
+        return jsonable(asdict(self))
 
 
 def uniqueness_probe(
@@ -544,6 +532,14 @@ class StabilityConfig:
             raise ConfigurationError(
                 f"stability.equation must be one of {EQUATIONS}, got {self.equation!r}"
             )
+        if not is_number(self.beta):
+            raise ConfigurationError(f"stability.beta must be a number, got {self.beta!r}")
+        if not isinstance(self.quasi_corollary, bool):
+            raise ConfigurationError(
+                f"stability.quasi_corollary must be true or false, got {self.quasi_corollary!r}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"stability.seed must be >= 0, got {self.seed}")
         if self.mode not in ("float64", "exact-rational"):
             raise ConfigurationError(
                 f"stability.mode must be float64 or exact-rational, got {self.mode!r}"
@@ -636,18 +632,6 @@ class SampleRow:
     residual: object
     within: bool
 
-    def to_dict(self) -> dict:
-        from .reporting import jsonable
-
-        return {
-            "point": jsonable(self.point),
-            "value": jsonable(self.value),
-            "bound": jsonable(self.bound),
-            "ratio": jsonable(self.ratio),
-            "residual": jsonable(self.residual),
-            "within": self.within,
-        }
-
 
 @dataclass
 class StabilityReport:
@@ -693,8 +677,6 @@ class StabilityReport:
         )
 
     def to_dict(self) -> dict:
-        from .reporting import jsonable
-
         return {
             "equation": self.equation,
             "mode": self.config.mode,

@@ -32,7 +32,6 @@ from orthostab import (
     check_fnorm_axioms,
     check_gap_bounds,
     check_relation_axioms,
-    corrector_term,
     derive_defect_bound_additive,
     derive_defect_bound_quadratic,
     estimate_quasi_constant,
@@ -101,11 +100,11 @@ def test_criterion_2_solution_stationarity(capsys):
     for n in range(1, 11):
         for x in float_pts:
             for f in (lin_f, quad_f):
-                dev = np.max(np.abs(corrector_term(f, x, n) - f(x)))
+                dev = np.max(np.abs(CorrectorEvaluator(f, n).value(x) - f(x)))
                 worst = max(worst, float(dev))
         for z in exact_pts:
             for f in (lin_e, quad_e):
-                if corrector_term(f, z, n) != f(z):
+                if CorrectorEvaluator(f, n).value(z) != f(z):
                     exact_ok = False
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and exact_ok and elapsed < 5.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import small_additive_doc, small_quadratic_doc, write_config
+from conftest import CONFIG_DIR, small_additive_doc, small_quadratic_doc, write_config
 from orthostab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -250,6 +250,24 @@ class TestMalformedRunConfigs:
         err = self.run_expecting_config_error(tmp_path, capsys, doc)
         assert "map.seed" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("stability", "beta", "abc"),
+            ("stability", "beta", None),
+            ("relation", "dimension", "abc"),
+            ("relation", "tolerance", "abc"),
+            ("gauge", "beta", "abc"),
+            ("stability", "seed", -1),
+            ("stability", "quasi_corollary", "false"),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, capsys, section, key, value):
+        doc = small_additive_doc()
+        doc[section][key] = value
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert f"{section}.{key}" in err
+
     def test_largest_map_seed_runs(self, tmp_path, capsys):
         doc = small_additive_doc(
             sample_count=4, pair_count=4, conclusion_pairs=4, uniqueness_points=2
@@ -339,6 +357,25 @@ class TestCheckAxioms:
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"target": "gauge", "bogus": 1})
         assert main(["check-axioms", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("axioms_relation_euclidean", "count", 0),
+            ("axioms_relation_euclidean", "seed", -1),
+            ("axioms_relation_euclidean", "systems", []),
+            ("axioms_gauge_betasum05", "dimension", -1),
+            ("axioms_gauge_betasum05", "dimension", 0),
+        ],
+    )
+    def test_malformed_field_exits_config(self, tmp_path, capsys, name, key, value):
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        doc[key] = value
+        code = main(["check-axioms", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and "verdict" not in captured.out
+        assert captured.err.startswith(f"configuration error: {key}")
+        assert captured.err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -31,14 +31,10 @@ from orthostab import (
     check_gap_bounds,
     coefficients,
     corrector_limit,
-    corrector_residual,
-    corrector_term,
     gap_series,
     gap_tail_bound,
-    three_eighths_defect,
 )
 from orthostab.corrector import scale_table
-from orthostab.errors import PrecisionWarning
 from orthostab.stability import derive_defect_bound_additive
 from orthostab.orthogonality import OrthoRelation, sample_orthogonal_pairs
 
@@ -78,44 +74,31 @@ class TestCoefficients:
 
 class TestDefectAndTerms:
     def test_cubic_defect_oracle(self):
-        assert three_eighths_defect(cubic_exact, (Fraction(1),), ABS1_EXACT) == 24
-        assert three_eighths_defect(cubic_float, np.array([1.0]), ABS1) == 24.0
+        _, trace = corrector_limit(cubic_exact, (Fraction(1),), 1, Fraction(100), ABS1_EXACT, 1)
+        assert trace.defects[0] == 24
+        _, trace = corrector_limit(cubic_float, np.array([1.0]), 1.0, 100.0, ABS1, 1)
+        assert trace.defects[0] == 24.0
 
     def test_cubic_corrector_powers_of_four(self):
         for n in (1, 2, 3):
-            val = corrector_term(cubic_exact, (Fraction(1),), n)
+            val = CorrectorEvaluator(cubic_exact, n).value((Fraction(1),))
             assert val == (Fraction(4) ** n,)
 
     def test_linear_map_is_fixed_point(self):
         f = lambda t: (5 * t[0],)
-        assert corrector_term(f, (Fraction(1),), 3) == (Fraction(5),)
+        assert CorrectorEvaluator(f, 3).value((Fraction(1),)) == (Fraction(5),)
         g = lambda t: np.array([5.0 * t[0]])
-        assert corrector_term(g, np.array([1.0]), 3) == pytest.approx([5.0])
+        assert CorrectorEvaluator(g, 3).value(np.array([1.0])) == pytest.approx([5.0])
 
     def test_square_map_is_fixed_point(self):
         f = lambda t: (t[0] ** 2,)
-        assert corrector_term(f, (Fraction(2),), 4) == (Fraction(4),)
-
-    def test_residual_at_one_equals_defect(self):
-        x = (Fraction(3, 2),)
-        r1 = corrector_residual(cubic_exact, x, 1, ABS1_EXACT)
-        assert r1 == three_eighths_defect(cubic_exact, x, ABS1_EXACT)
+        assert CorrectorEvaluator(f, 4).value((Fraction(2),)) == (Fraction(4),)
 
     def test_cross_backend_cubic_at_depth_eight(self):
-        exact = corrector_term(cubic_exact, (Fraction(1),), 8)[0]
+        exact = CorrectorEvaluator(cubic_exact, 8).value((Fraction(1),))[0]
         assert exact == Fraction(65536)
-        approx = corrector_term(cubic_float, np.array([1.0]), 8)[0]
+        approx = CorrectorEvaluator(cubic_float, 8).value(np.array([1.0]))[0]
         assert abs(approx - 65536.0) <= 1e-9
-
-    def test_quadratic_growth_warning_past_budget(self):
-        class Q:
-            growth_hint = "quadratic"
-
-            def __call__(self, t):
-                return np.array([t[0] ** 2])
-
-        with pytest.warns(PrecisionWarning):
-            corrector_term(Q(), np.array([1.0]), 21)
 
 
 class TestGapCoefficients:
@@ -241,7 +224,9 @@ class TestCorrectorEvaluator:
     def test_value_matches_term(self):
         ev = CorrectorEvaluator(cubic_exact, 5)
         x = (Fraction(1, 2),)
-        assert ev.value(x) == corrector_term(cubic_exact, x, 5)
+        cp, cm = coefficients(5, exact=True)
+        # c_plus(5) f(2^5 x) - c_minus(5) f(-2^5 x) at 2^5 x = 16
+        assert ev.value(x) == (cp * 16 ** 3 - cm * (-16) ** 3,)
         assert ev(x) == ev.value(x)
 
     def test_magnitude_is_sum_of_term_magnitudes(self):
@@ -334,8 +319,8 @@ def test_consecutive_terms_telescope_through_the_defect(nums, n):
             vec.vscale(Fraction(1, 8), f(vec.vneg(z4))),
         )
 
-    g_n = corrector_term(f, x, n)
-    g_n1 = corrector_term(f, x, n + 1)
+    g_n = CorrectorEvaluator(f, n).value(x)
+    g_n1 = CorrectorEvaluator(f, n + 1).value(x)
     cp, cm = coefficients(n, exact=True)
     half_scale = vec.vscale(Fraction(2 ** (n - 1)), x)
     rhs = vec.vsub(

@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from orthostab.cli import main
+
 TABLE = Path(__file__).resolve().with_name("golden_digests.json")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ARTIFACT_LINE = re.compile(r"^artifacts written to .*$", re.MULTILINE)
@@ -38,8 +40,6 @@ def _sha(data: bytes) -> str:
 
 
 def _main_digests(argv, out: Path | None, artifacts) -> dict:
-    from orthostab.cli import main
-
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv + (["--out", str(out)] if out is not None else []))
