@@ -9,6 +9,7 @@ float64 with first-order rounding envelopes and exact rationals for
 zero-tolerance oracles.
 """
 
+from .config import AXIOM_SYSTEMS
 from .errors import (
     ConfigurationError,
     InputError,
@@ -25,16 +26,11 @@ from .gauges import (
     p_power_transform,
 )
 from .orthogonality import (
-    AXIOM_SYSTEMS,
-    RELATION_KINDS,
     OrthoRelation,
     check_relation_axioms,
     sample_orthogonal_pairs,
 )
 from .maps import (
-    BACKENDS,
-    BASES,
-    PARITIES,
     EvaluableMap,
     MapSpec,
     build_map,
@@ -55,7 +51,6 @@ from .corrector import (
     gap_tail_bound,
 )
 from .stability import (
-    EQUATIONS,
     CheckRow,
     ConclusionCheck,
     DefectDerivation,
@@ -83,12 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIOM_SYSTEMS",
-    "BACKENDS",
-    "BASES",
     "DEFAULT_LIMIT_SEQUENCE",
-    "EQUATIONS",
-    "PARITIES",
-    "RELATION_KINDS",
     "AxiomCheck",
     "AxiomReport",
     "CheckRow",

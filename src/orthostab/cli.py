@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import config
 from .corrector import gap_series
 from .errors import ConfigurationError, InputError, RangeError, SamplerError
 from .gauges import (
@@ -31,8 +32,8 @@ from .gauges import (
     estimate_quasi_constant,
     make_gauge_samples,
 )
-from .maps import MapSpec, _parse_exact_scalar, parse_float, parse_int
-from .orthogonality import AXIOM_SYSTEMS, OrthoRelation, check_relation_axioms
+from .maps import MapSpec
+from .orthogonality import OrthoRelation, check_relation_axioms
 from .reporting import jsonable
 from .stability import (
     StabilityConfig,
@@ -76,16 +77,15 @@ def _point_cell(point) -> str:
 # constants
 
 
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError as e:
+        raise ConfigurationError(f"{flag}: cannot parse {text!r} as a number") from e
+
+
 def _parse_number_list(text: str, flag: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as e:
-            raise ConfigurationError(f"{flag}: cannot parse {part!r} as a number") from e
+    out = [_number(part, flag) for part in text.split(",") if part.strip()]
     if not out:
         raise ConfigurationError(f"{flag}: empty list")
     return out
@@ -94,7 +94,7 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
 def cmd_constants(args) -> int:
     betas = _parse_number_list(args.beta, "--beta")
     ps = _parse_number_list(args.p, "--p")
-    tol = parse_float(args.tol, "--tol")
+    tol = _number(args.tol, "--tol")
     if tol <= 0:
         raise ConfigurationError(f"--tol must be positive, got {args.tol!r}")
     for b in betas:
@@ -139,23 +139,6 @@ def cmd_constants(args) -> int:
 # run
 
 
-_CONFIG_SECTIONS = {"space", "gauge", "relation", "map", "stability"}
-_STABILITY_KEYS = {
-    "equation",
-    "beta",
-    "epsilon",
-    "sample_count",
-    "pair_count",
-    "n_max",
-    "seed",
-    "mode",
-    "quasi_corollary",
-    "conclusion_pairs",
-    "uniqueness_points",
-    "point_scale",
-}
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -169,64 +152,43 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _gauge(values: dict | None) -> Gauge | None:
+    """The Gauge of a read gauge section, its base built the same way."""
+    return values and Gauge(**{**values, "base": _gauge(values["base"])})
+
+
+def _relation(values: dict, default_gauge: Gauge | None) -> OrthoRelation:
+    """The relation of a read relation section; only isosceles keeps a gauge."""
+    gauge = _gauge(values["gauge"]) or default_gauge
+    return OrthoRelation(**{**values, "gauge": gauge if values["kind"] == "isosceles" else None})
+
+
 def load_stability_config(
     doc: dict, seed_override=None, mode_override=None
 ) -> StabilityConfig:
     """Assemble a StabilityConfig from a parsed experiment document."""
-    extra = set(doc) - _CONFIG_SECTIONS
-    if extra:
-        raise ConfigurationError(f"config has unknown sections {sorted(extra)}")
+    st = doc.get("stability")
+    if isinstance(st, dict):
+        st = dict(st)
+        if seed_override is not None:
+            st["seed"] = seed_override
+        if mode_override is not None:
+            st["mode"] = {"rational": "exact-rational"}.get(mode_override, mode_override)
+        doc = {**doc, "stability": st}
+    exact = isinstance(st, dict) and st.get("mode") == "exact-rational"
+    values = config.read(doc, "run", exact)
     for section in ("gauge", "relation", "map", "stability"):
-        if section not in doc:
+        if values[section] is None:
             raise ConfigurationError(f"config is missing the {section!r} section")
-    space = doc.get("space", {})
-    if not isinstance(space, dict) or (space and set(space) - {"dimension"}):
-        raise ConfigurationError("space section supports only the 'dimension' field")
-    st = dict(doc["stability"])
-    extra = set(st) - _STABILITY_KEYS
-    if extra:
-        raise ConfigurationError(f"stability section has unknown fields {sorted(extra)}")
-    mode = st.get("mode", "float64")
-    if mode_override is not None:
-        mode = {"rational": "exact-rational"}.get(mode_override, mode_override)
-    if seed_override is not None:
-        st["seed"] = parse_int(seed_override, "--seed")
-    gauge = Gauge.from_config(doc["gauge"])
-    relation = OrthoRelation.from_config(doc["relation"], default_gauge=gauge)
-    dimension = parse_int(space.get("dimension", relation.dimension), "space.dimension")
-    if relation.dimension != dimension:
-        raise ConfigurationError(
-            f"relation.dimension {relation.dimension} does not match space.dimension {dimension}"
-        )
-    map_cfg = dict(doc["map"])
-    map_cfg["backend"] = mode
-    map_spec = MapSpec.from_config(map_cfg)
-    if "equation" not in st:
-        raise ConfigurationError("stability section needs an 'equation' field")
-    if "beta" not in st:
-        raise ConfigurationError("stability section needs a 'beta' field")
-    epsilon = st.get("epsilon")
-    if epsilon is not None and mode == "exact-rational":
-        epsilon = _parse_exact_scalar(epsilon, "stability.epsilon")
-    elif epsilon is not None:
-        epsilon = parse_float(epsilon, "stability.epsilon")
+    gauge = _gauge(values["gauge"])
+    relation = _relation(values["relation"], gauge)
+    stability = values["stability"]
     return StabilityConfig(
-        equation=st["equation"],
-        dimension=dimension,
+        dimension=(values["space"] or {}).get("dimension") or relation.dimension,
         gauge=gauge,
         relation=relation,
-        map_spec=map_spec,
-        beta=st["beta"],
-        epsilon=epsilon,
-        sample_count=parse_int(st.get("sample_count", 1000), "stability.sample_count"),
-        pair_count=parse_int(st.get("pair_count", 1000), "stability.pair_count"),
-        n_max=parse_int(st.get("n_max", 20), "stability.n_max"),
-        seed=parse_int(st.get("seed", 0), "stability.seed"),
-        mode=mode,
-        quasi_corollary=st.get("quasi_corollary", False),
-        conclusion_pairs=parse_int(st.get("conclusion_pairs", 100), "stability.conclusion_pairs"),
-        uniqueness_points=parse_int(st.get("uniqueness_points", 50), "stability.uniqueness_points"),
-        point_scale=parse_float(st.get("point_scale", 1.0), "stability.point_scale"),
+        map_spec=MapSpec(**{**values["map"], "backend": stability["mode"]}),
+        **stability,
     )
 
 
@@ -352,22 +314,6 @@ def cmd_run(args) -> int:
 # check-axioms
 
 
-_AXIOM_KEYS = {
-    "target",
-    "gauge",
-    "relation",
-    "system",
-    "systems",
-    "dimension",
-    "samples",
-    "count",
-    "seed",
-    "scale",
-    "quasi_trials",
-    "beta",
-}
-
-
 def _axiom_summary(reports, quasi_info) -> str:
     lines = []
     for rep in reports:
@@ -393,57 +339,33 @@ def _axiom_summary(reports, quasi_info) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _axiom_int(doc: dict, key: str, default: int, least: int = 1) -> int:
-    value = parse_int(doc.get(key, default), key)
-    if value < least:
-        raise ConfigurationError(f"{key} must be >= {least}, got {value}")
-    return value
-
-
 def cmd_check_axioms(args) -> int:
-    doc = _load_json(args.config)
-    extra = set(doc) - _AXIOM_KEYS
-    if extra:
-        raise ConfigurationError(f"check-axioms config has unknown fields {sorted(extra)}")
-    target = doc.get("target")
-    seed = _axiom_int(doc, "seed", 0, least=0)
+    values = config.read(_load_json(args.config), "check-axioms")
+    target, seed = values["target"], values["seed"]
+    if values[target] is None:
+        raise ConfigurationError(f"check-axioms target {target!r} needs a {target} section")
+    gauge = _gauge(values["gauge"])
     reports = []
     quasi_info = None
     if target == "gauge":
-        if "gauge" not in doc:
-            raise ConfigurationError("check-axioms target 'gauge' needs a gauge section")
-        gauge = Gauge.from_config(doc["gauge"])
-        dimension = _axiom_int(doc, "dimension", 2)
-        n_samples = _axiom_int(doc, "samples", 1000)
-        scale = parse_float(doc.get("scale", 1.0), "scale")
-        samples = make_gauge_samples(dimension, n_samples, seed, scale)
+        dimension = values["dimension"]
+        samples = make_gauge_samples(dimension, values["samples"], seed, values["scale"])
         reports.append(check_fnorm_axioms(gauge, samples))
-        beta = parse_float(doc.get("beta", gauge.homogeneity_degree), "beta")
+        beta = values["beta"] if values["beta"] is not None else gauge.homogeneity_degree
         reports.append(check_beta_homogeneity(gauge, beta, samples))
         if gauge.kind == "lp-quasi":
-            trials = _axiom_int(doc, "quasi_trials", 2000)
-            est = estimate_quasi_constant(gauge, trials, seed, dimension=dimension)
+            est = estimate_quasi_constant(gauge, values["quasi_trials"], seed, dimension=dimension)
             analytic = gauge.quasi_constant
             quasi_info = {
                 "estimate": est,
                 "analytic": analytic,
                 "ok": est <= analytic * (1.0 + 1e-9),
             }
-    elif target == "relation":
-        if "relation" not in doc:
-            raise ConfigurationError("check-axioms target 'relation' needs a relation section")
-        default_gauge = Gauge.from_config(doc["gauge"]) if "gauge" in doc else None
-        relation = OrthoRelation.from_config(doc["relation"], default_gauge=default_gauge)
-        systems = doc.get("systems")
-        if systems is None:
-            systems = [doc["system"]] if "system" in doc else list(AXIOM_SYSTEMS)
-        if not isinstance(systems, list) or not systems:
-            raise ConfigurationError(f"systems must be a nonempty list, got {systems!r}")
-        count = _axiom_int(doc, "count", 64)
-        for system in systems:
-            reports.append(check_relation_axioms(relation, system, count=count, seed=seed))
     else:
-        raise ConfigurationError("check-axioms config needs target: 'gauge' or 'relation'")
+        relation = _relation(values["relation"], gauge)
+        single = [values["system"]] if values["system"] else list(config.AXIOM_SYSTEMS)
+        for system in values["systems"] or single:
+            reports.append(check_relation_axioms(relation, system, count=values["count"], seed=seed))
     text = _axiom_summary(reports, quasi_info)
     sys.stdout.write(text)
     if args.out is not None:

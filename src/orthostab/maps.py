@@ -22,19 +22,15 @@ values do not depend on which stack a point came in.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import config
 from .errors import ConfigurationError, InputError, RangeError
 from .gauges import Gauge, float_pow
 from . import vectors as vec
-
-BASES = ("linear", "quadratic-form", "zero")
-PARITIES = ("none", "odd", "even")
-BACKENDS = ("float64", "exact-rational")
 
 # Dyadic grid for exact-mode noise coordinates.
 NOISE_DENOMINATOR = 2 ** 16
@@ -55,46 +51,21 @@ class MapSpec:
     noise_amplitude: object  # float, or Fraction in exact mode
     noise_parity: str
     seed: int
-    backend: str = "float64"
+    backend: str = config.default("map.backend")
     codomain_dim: int | None = None
 
     def __post_init__(self):
-        if self.base not in BASES:
-            raise ConfigurationError(f"map.base must be one of {BASES}, got {self.base!r}")
-        if self.noise_parity not in PARITIES:
-            raise ConfigurationError(
-                f"map.noise_parity must be one of {PARITIES}, got {self.noise_parity!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(f"map.backend must be one of {BACKENDS}, got {self.backend!r}")
-        if not (0 <= self.noise_amplitude < math.inf):
-            raise ConfigurationError(
-                f"map.noise_amplitude must be a finite number >= 0, got {self.noise_amplitude!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not (
-            0 <= self.seed < 2 ** 64
-        ):
-            raise ConfigurationError(f"map.seed must be an integer in [0, 2^64), got {self.seed!r}")
+        config.check_fields(self, "map")
         if self.base in ("linear", "quadratic-form"):
             if self.matrix is None:
                 raise ConfigurationError(f"map.base {self.base!r} needs a matrix")
-            widths = {len(row) for row in self.matrix}
-            if not self.matrix or len(widths) != 1 or 0 in widths:
-                raise ConfigurationError(
-                    f"map.matrix must be a nonempty rectangular list of rows, got {self.matrix!r}"
-                )
             if self.base == "quadratic-form" and len(self.matrix) != len(self.matrix[0]):
                 raise ConfigurationError(
                     f"map.base 'quadratic-form' needs a square matrix, got "
                     f"{len(self.matrix)}x{len(self.matrix[0])}"
                 )
-            _parse_matrix(self.matrix, self.backend == "exact-rational")
         elif self.codomain_dim is None:
             raise ConfigurationError("map.base 'zero' needs codomain_dim")
-        elif not (isinstance(self.codomain_dim, int) and self.codomain_dim >= 1):
-            raise ConfigurationError(
-                f"map.codomain_dim must be a positive integer, got {self.codomain_dim!r}"
-            )
 
     @property
     def domain_dim(self) -> int | None:
@@ -104,82 +75,6 @@ class MapSpec:
         if self.base == "quadratic-form":
             return len(self.matrix)
         return None
-
-    @staticmethod
-    def from_config(cfg: dict) -> "MapSpec":
-        if not isinstance(cfg, dict):
-            raise ConfigurationError("map config must be an object")
-        known = {"base", "matrix", "noise_amplitude", "noise_parity", "seed", "backend", "codomain_dim"}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigurationError(f"map config has unknown fields {sorted(extra)}")
-        backend = cfg.get("backend", "float64")
-        amplitude = cfg.get("noise_amplitude", 0)
-        if backend == "exact-rational":
-            amplitude = _parse_exact_scalar(amplitude, "map.noise_amplitude")
-        else:
-            amplitude = parse_float(amplitude, "map.noise_amplitude")
-        matrix = cfg.get("matrix")
-        if matrix is not None:
-            if not isinstance(matrix, (list, tuple)) or not all(
-                isinstance(row, (list, tuple)) for row in matrix
-            ):
-                raise ConfigurationError(f"map.matrix must be a list of rows, got {matrix!r}")
-            matrix = tuple(tuple(row) for row in matrix)
-        codomain_dim = cfg.get("codomain_dim")
-        if codomain_dim is not None:
-            codomain_dim = parse_int(codomain_dim, "map.codomain_dim")
-        return MapSpec(
-            base=cfg.get("base", "zero"),
-            matrix=matrix,
-            noise_amplitude=amplitude,
-            noise_parity=cfg.get("noise_parity", "none"),
-            seed=parse_int(cfg.get("seed", 0), "map.seed"),
-            backend=backend,
-            codomain_dim=codomain_dim,
-        )
-
-
-def parse_int(value, field: str) -> int:
-    """Integer from config: an int, an integral float, or a string of digits."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigurationError(f"{field} must be an integer, got {value!r}")
-
-
-def parse_float(value, field: str) -> float:
-    """Float from config: a number or a numeric string."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigurationError(f"{field}: cannot parse {value!r} as a number")
-
-
-def _parse_exact_scalar(value, field: str) -> Fraction:
-    """Exact scalar from config: int, 'p/q' string, or decimal string/float."""
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            # Decimal reading of the literal, so 0.001 means 1/1000, not the
-            # binary float closest to it.
-            return Fraction(repr(value))
-        if isinstance(value, Fraction):
-            return value
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigurationError(f"{field}: cannot parse {value!r} as a rational") from e
-    raise ConfigurationError(f"{field}: cannot parse {value!r} as a rational")
 
 
 @dataclass(frozen=True)
@@ -306,20 +201,6 @@ def scaled_noise(seed: int, x, m: int, parity: str, amplitude, gauge: Gauge):
     )
 
 
-def _parse_matrix(matrix, exact: bool) -> np.ndarray:
-    if exact:
-        return np.array(
-            [[_parse_exact_scalar(c, "map.matrix") for c in row] for row in matrix], dtype=object
-        )
-    try:
-        mat = np.array([[float(c) for c in row] for row in matrix], dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"map.matrix: cannot parse {matrix!r} as numbers") from e
-    if not np.all(np.isfinite(mat)):
-        raise ConfigurationError(f"map.matrix entries must be finite, got {matrix!r}")
-    return mat
-
-
 def build_map(spec: MapSpec, gauge: Gauge) -> EvaluableMap:
     """Assemble base + noise into an evaluable map.
 
@@ -334,15 +215,16 @@ def build_map(spec: MapSpec, gauge: Gauge) -> EvaluableMap:
     # Each base maps an (N, d) stack to an (N, m) stack. The products are
     # taken one point at a time (a stack of matrix-vector products) because a
     # single matrix-matrix product may round differently.
+    if spec.matrix is not None:
+        entries = config.read_field("map.matrix", spec.matrix, exact)
+        mat = np.array(entries, dtype=object if exact else np.float64)
     if spec.base == "linear":
-        mat = _parse_matrix(spec.matrix, exact)
         m, d = mat.shape
         growth = "linear"
 
         def base_fn(points):
             return (mat @ points[:, :, None])[:, :, 0]
     elif spec.base == "quadratic-form":
-        mat = _parse_matrix(spec.matrix, exact)
         d, m = len(mat), 1
         growth = "quadratic"
 

@@ -32,14 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import config
 from .errors import ConfigurationError, InputError, SamplerError
 from .gauges import Gauge
-from .maps import parse_float, parse_int
 from .reporting import AxiomCheck, AxiomReport
 from . import vectors as vec
-
-RELATION_KINDS = ("euclidean", "isosceles", "trivial-zero")
-AXIOM_SYSTEMS = ("ratz", "fechner-sikorska", "zero-ortho-or", "zero-ortho-and")
 
 
 @dataclass(frozen=True)
@@ -47,19 +44,12 @@ class OrthoRelation:
     kind: str
     dimension: int
     gauge: Gauge | None = None
-    tolerance: float = 1e-9
+    tolerance: float = config.default("relation.tolerance")
 
     def __post_init__(self):
-        if self.kind not in RELATION_KINDS:
-            raise ConfigurationError(
-                f"relation.kind must be one of {RELATION_KINDS}, got {self.kind!r}"
-            )
-        if self.dimension < 1:
-            raise ConfigurationError(f"relation.dimension must be >= 1, got {self.dimension}")
+        config.check_fields(self, "relation")
         if self.kind == "isosceles" and self.gauge is None:
             raise ConfigurationError("isosceles relation needs a gauge")
-        if not (self.tolerance >= 0):
-            raise ConfigurationError(f"relation.tolerance must be >= 0, got {self.tolerance!r}")
 
     def is_orthogonal(self, x, y) -> bool:
         if vec.vlen(x) != self.dimension or vec.vlen(y) != self.dimension:
@@ -88,24 +78,6 @@ class OrthoRelation:
         if self.gauge is not None:
             cfg["gauge"] = self.gauge.to_config()
         return cfg
-
-    @staticmethod
-    def from_config(cfg: dict, default_gauge: Gauge | None = None) -> "OrthoRelation":
-        if not isinstance(cfg, dict) or "kind" not in cfg:
-            raise ConfigurationError("relation config must be an object with a 'kind' field")
-        known = {"kind", "dimension", "tolerance", "gauge"}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigurationError(f"relation config has unknown fields {sorted(extra)}")
-        if "dimension" not in cfg:
-            raise ConfigurationError("relation config needs a 'dimension' field")
-        gauge = Gauge.from_config(cfg["gauge"]) if cfg.get("gauge") else default_gauge
-        return OrthoRelation(
-            kind=cfg["kind"],
-            dimension=parse_int(cfg["dimension"], "relation.dimension"),
-            gauge=gauge if cfg["kind"] == "isosceles" else None,
-            tolerance=parse_float(cfg.get("tolerance", 1e-9), "relation.tolerance"),
-        )
 
 
 def _exact_vector(rng, dimension: int, scale: float) -> tuple:
@@ -268,8 +240,7 @@ def check_relation_axioms(
     points: optional list of probe vectors; defaults to a seeded draw. Pairs
     for closure axioms come from sample_orthogonal_pairs with the same seed.
     """
-    if system not in AXIOM_SYSTEMS:
-        raise ConfigurationError(f"unknown axiom system {system!r}, expected one of {AXIOM_SYSTEMS}")
+    config.read_field("system", system)
     rng = np.random.default_rng(seed)
     d = relation.dimension
     if points is None:

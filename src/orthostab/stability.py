@@ -38,14 +38,13 @@ from .corrector import (
     corrector_limit,
     gap_series,
 )
+from . import config
 from .errors import ConfigurationError, InputError
-from .gauges import Gauge, is_number, p_power_transform
+from .gauges import Gauge, p_power_transform
 from .maps import MapSpec, build_map, evaluate_stack
 from .orthogonality import OrthoRelation, sample_orthogonal_pairs
 from .reporting import jsonable
 from . import vectors as vec
-
-EQUATIONS = ("jensen-additive", "jensen-quadratic")
 
 # Sample points and pairs are evaluated this many at a time: each map call
 # gets a stack, and memory stays flat however many samples a run draws.
@@ -425,8 +424,7 @@ def verify_conclusion(
     computed_defect <= true_defect + slack to first order. Exact backend runs
     carry slack 0.
     """
-    if equation not in EQUATIONS:
-        raise ConfigurationError(f"unknown equation {equation!r}")
+    config.read_field("stability.equation", equation)
     if len(pairs) == 0:
         raise InputError("verify_conclusion needs at least one pair")
     for x, y in pairs:
@@ -516,33 +514,23 @@ class StabilityConfig:
     relation: OrthoRelation
     map_spec: MapSpec
     beta: object
-    epsilon: object = None
-    sample_count: int = 1000
-    pair_count: int = 1000
-    n_max: int = 20
-    seed: int = 0
-    mode: str = "float64"
-    quasi_corollary: bool = False
-    conclusion_pairs: int = 100
-    uniqueness_points: int = 50
-    point_scale: float = 1.0
+    epsilon: object = config.default("stability.epsilon")
+    sample_count: int = config.default("stability.sample_count")
+    pair_count: int = config.default("stability.pair_count")
+    n_max: int = config.default("stability.n_max")
+    seed: int = config.default("stability.seed")
+    mode: str = config.default("stability.mode")
+    quasi_corollary: bool = config.default("stability.quasi_corollary")
+    conclusion_pairs: int = config.default("stability.conclusion_pairs")
+    uniqueness_points: int = config.default("stability.uniqueness_points")
+    point_scale: float = config.default("stability.point_scale")
 
     def __post_init__(self):
-        if self.equation not in EQUATIONS:
+        config.check_fields(self, "stability")
+        if self.relation.dimension != self.dimension:
             raise ConfigurationError(
-                f"stability.equation must be one of {EQUATIONS}, got {self.equation!r}"
-            )
-        if not is_number(self.beta):
-            raise ConfigurationError(f"stability.beta must be a number, got {self.beta!r}")
-        if not isinstance(self.quasi_corollary, bool):
-            raise ConfigurationError(
-                f"stability.quasi_corollary must be true or false, got {self.quasi_corollary!r}"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"stability.seed must be >= 0, got {self.seed}")
-        if self.mode not in ("float64", "exact-rational"):
-            raise ConfigurationError(
-                f"stability.mode must be float64 or exact-rational, got {self.mode!r}"
+                f"relation.dimension {self.relation.dimension} does not match "
+                f"space.dimension {self.dimension}"
             )
         if self.mode != self.map_spec.backend:
             raise ConfigurationError(
@@ -554,13 +542,6 @@ class StabilityConfig:
                 f"map.matrix takes points of dimension {self.map_spec.domain_dim}, "
                 f"but space.dimension is {self.dimension}"
             )
-        counts = (self.sample_count, self.pair_count, self.conclusion_pairs, self.uniqueness_points)
-        if min(counts) < 1:
-            raise ConfigurationError(
-                "sample_count, pair_count, conclusion_pairs and uniqueness_points must be >= 1"
-            )
-        if self.n_max < 1:
-            raise ConfigurationError(f"stability.n_max must be >= 1, got {self.n_max}")
         if self.quasi_corollary:
             if self.gauge.kind != "lp-quasi":
                 raise ConfigurationError("quasi_corollary runs need an lp-quasi gauge")
@@ -581,10 +562,6 @@ class StabilityConfig:
             if abs(float(self.beta) - deg) > 1e-12:
                 raise ConfigurationError(
                     f"stability.beta {self.beta!r} does not match gauge homogeneity {deg!r}"
-                )
-            if not (0 < float(self.beta) <= 1):
-                raise ConfigurationError(
-                    f"stability.beta must lie in (0, 1], got {self.beta!r}"
                 )
         if self.mode == "exact-rational":
             if float(self.beta) != 1:

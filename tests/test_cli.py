@@ -260,6 +260,22 @@ class TestMalformedRunConfigs:
             ("gauge", "beta", "abc"),
             ("stability", "seed", -1),
             ("stability", "quasi_corollary", "false"),
+            ("stability", "n_max", 512),
+            ("stability", "beta", float("nan")),
+            ("stability", "point_scale", float("nan")),
+            ("stability", "point_scale", float("inf")),
+            ("stability", "point_scale", -float("inf")),
+            ("stability", "epsilon", -1),
+            ("stability", "epsilon", float("nan")),
+            ("stability", "epsilon", float("inf")),
+            ("stability", "sample_count", 1e12),
+            ("stability", "pair_count", 1e12),
+            ("stability", "conclusion_pairs", 1e12),
+            ("stability", "uniqueness_points", 1e12),
+            ("relation", "dimension", 1e12),
+            ("relation", "tolerance", float("inf")),
+            ("relation", "tolerance", 1.0),
+            ("space", "dimension", 1e12),
         ],
     )
     def test_malformed_field(self, tmp_path, capsys, section, key, value):
@@ -267,6 +283,19 @@ class TestMalformedRunConfigs:
         doc[section][key] = value
         err = self.run_expecting_config_error(tmp_path, capsys, doc)
         assert f"{section}.{key}" in err
+
+    def test_nan_beta_in_quasi_run(self, tmp_path, capsys):
+        doc = small_additive_doc(beta=float("nan"), quasi_corollary=True)
+        doc["gauge"] = {"kind": "lp-quasi", "p": 0.5}
+        err = self.run_expecting_config_error(tmp_path, capsys, doc)
+        assert "stability.beta" in err
+
+    def test_deepest_corrector_runs(self, tmp_path, capsys):
+        doc = small_additive_doc(
+            n_max=511, sample_count=2, pair_count=2, conclusion_pairs=2, uniqueness_points=1
+        )
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_VIOLATION)
 
     def test_largest_map_seed_runs(self, tmp_path, capsys):
         doc = small_additive_doc(
@@ -366,6 +395,13 @@ class TestCheckAxioms:
             ("axioms_relation_euclidean", "systems", []),
             ("axioms_gauge_betasum05", "dimension", -1),
             ("axioms_gauge_betasum05", "dimension", 0),
+            ("axioms_gauge_betasum05", "gauge", {"kind": "beta-sum", "beta": 600}),
+            ("axioms_gauge_betasum05", "beta", 600),
+            ("axioms_relation_isosceles", "relation", {"kind": "isosceles", "dimension": 2, "tolerance": float("inf")}),
+            ("axioms_gauge_betasum05", "samples", 1e12),
+            ("axioms_gauge_betasum05", "dimension", 1e12),
+            ("axioms_gauge_lpquasi05", "quasi_trials", 1e12),
+            ("axioms_relation_euclidean", "count", 1e12),
         ],
     )
     def test_malformed_field_exits_config(self, tmp_path, capsys, name, key, value):

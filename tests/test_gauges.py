@@ -19,6 +19,8 @@ from orthostab import (
     make_gauge_samples,
     p_power_transform,
 )
+from orthostab.cli import _gauge
+from orthostab.config import read
 
 finite_coords = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -151,11 +153,11 @@ class TestMetadata:
             Gauge(kind="beta-sum", beta=0.75),
             p_power_transform(Gauge(kind="lp-quasi", p=0.5), 0.5),
         ):
-            assert Gauge.from_config(g.to_config()) == g
+            assert _gauge(read(g.to_config(), "gauge")) == g
 
     def test_from_config_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
-            Gauge.from_config({"kind": "euclidean", "order": 2})
+            read({"kind": "euclidean", "order": 2}, "gauge")
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from orthostab import (
     build_map,
     scaled_noise,
 )
+from orthostab.config import read
 from orthostab.maps import encode_point
 
 
@@ -62,34 +63,32 @@ class TestMapSpec:
             MapSpec(base="zero", matrix=None, noise_amplitude=0, noise_parity="none", seed=0)
 
     def test_from_config_exact_amplitude_reads_decimally(self):
-        spec = MapSpec.from_config(
-            {
-                "base": "linear",
-                "matrix": [[1, 0], [0, 1]],
-                "noise_amplitude": 0.001,
-                "noise_parity": "odd",
-                "seed": 4,
-                "backend": "exact-rational",
-            }
-        )
+        doc = {
+            "base": "linear",
+            "matrix": [[1, 0], [0, 1]],
+            "noise_amplitude": 0.001,
+            "noise_parity": "odd",
+            "seed": 4,
+            "backend": "exact-rational",
+        }
+        spec = MapSpec(**read(doc, "map", exact=True))
         assert spec.noise_amplitude == Fraction(1, 1000)
 
     def test_from_config_fraction_string(self):
-        spec = MapSpec.from_config(
-            {
-                "base": "linear",
-                "matrix": [["1/2", "0"], ["0", "1"]],
-                "noise_amplitude": "3/4000",
-                "noise_parity": "even",
-                "seed": 4,
-                "backend": "exact-rational",
-            }
-        )
+        doc = {
+            "base": "linear",
+            "matrix": [["1/2", "0"], ["0", "1"]],
+            "noise_amplitude": "3/4000",
+            "noise_parity": "even",
+            "seed": 4,
+            "backend": "exact-rational",
+        }
+        spec = MapSpec(**read(doc, "map", exact=True))
         assert spec.noise_amplitude == Fraction(3, 4000)
 
     def test_from_config_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
-            MapSpec.from_config({"base": "zero", "codomain_dim": 2, "bias": 1})
+            read({"base": "zero", "codomain_dim": 2, "bias": 1}, "map")
 
 
 class TestEncodePoint:

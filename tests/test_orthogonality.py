@@ -18,6 +18,8 @@ from orthostab import (
     check_relation_axioms,
     sample_orthogonal_pairs,
 )
+from orthostab.cli import _relation
+from orthostab.config import read
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +58,12 @@ class TestConstruction:
 
     def test_config_round_trip(self, euclid, isosceles_beta1):
         for rel in (euclid, isosceles_beta1):
-            clone = OrthoRelation.from_config(rel.to_config())
+            clone = _relation(read(rel.to_config(), "relation"), None)
             assert clone == rel
 
     def test_from_config_needs_dimension(self):
         with pytest.raises(ConfigurationError):
-            OrthoRelation.from_config({"kind": "euclidean"})
+            read({"kind": "euclidean"}, "relation")
 
 
 class TestIsOrthogonal:
