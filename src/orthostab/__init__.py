@@ -17,7 +17,6 @@ from .errors import (
     SamplerError,
 )
 from .gauges import (
-    DEFAULT_LIMIT_SEQUENCE,
     Gauge,
     check_beta_homogeneity,
     check_fnorm_axioms,
@@ -39,9 +38,6 @@ from .maps import (
 )
 from .corrector import (
     CorrectorEvaluator,
-    CorrectorTrace,
-    GapBoundReport,
-    GapBoundRow,
     SeriesEnclosure,
     cauchy_gap,
     check_gap_bounds,
@@ -51,13 +47,8 @@ from .corrector import (
     gap_tail_bound,
 )
 from .stability import (
-    CheckRow,
-    ConclusionCheck,
-    DefectDerivation,
-    SampleRow,
     StabilityConfig,
     StabilityReport,
-    UniquenessCheck,
     additive_defect_factor,
     derive_defect_bound_additive,
     derive_defect_bound_quadratic,
@@ -78,29 +69,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIOM_SYSTEMS",
-    "DEFAULT_LIMIT_SEQUENCE",
     "AxiomCheck",
     "AxiomReport",
-    "CheckRow",
-    "ConclusionCheck",
     "ConfigurationError",
     "CorrectorEvaluator",
-    "CorrectorTrace",
-    "DefectDerivation",
     "EvaluableMap",
-    "GapBoundReport",
-    "GapBoundRow",
     "Gauge",
     "InputError",
     "MapSpec",
     "OrthoRelation",
     "RangeError",
-    "SampleRow",
     "SamplerError",
     "SeriesEnclosure",
     "StabilityConfig",
     "StabilityReport",
-    "UniquenessCheck",
     "additive_defect_factor",
     "build_map",
     "cauchy_gap",

@@ -77,15 +77,8 @@ def _point_cell(point) -> str:
 # constants
 
 
-def _number(text: str, flag: str) -> float:
-    try:
-        return float(text)
-    except ValueError as e:
-        raise ConfigurationError(f"{flag}: cannot parse {text!r} as a number") from e
-
-
 def _parse_number_list(text: str, flag: str) -> list[float]:
-    out = [_number(part, flag) for part in text.split(",") if part.strip()]
+    out = [config.read_field(flag, part) for part in text.split(",") if part.strip()]
     if not out:
         raise ConfigurationError(f"{flag}: empty list")
     return out
@@ -94,15 +87,7 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
 def cmd_constants(args) -> int:
     betas = _parse_number_list(args.beta, "--beta")
     ps = _parse_number_list(args.p, "--p")
-    tol = _number(args.tol, "--tol")
-    if tol <= 0:
-        raise ConfigurationError(f"--tol must be positive, got {args.tol!r}")
-    for b in betas:
-        if b <= 0:
-            raise ConfigurationError(f"--beta entries must be positive, got {b!r}")
-    for p in ps:
-        if not (0 < p <= 1):
-            raise ConfigurationError(f"--p entries must lie in (0, 1], got {p!r}")
+    tol = config.read_field("--tol", args.tol)
     rows = []
     for b in betas:
         s = gap_series(b, tol=tol)

@@ -38,7 +38,8 @@ REQUIRED = "required"
 # Size caps: a count or a dimension of 1e12 would otherwise run until killed.
 COUNT_CAP = 100_000
 DIMENSION_CAP = 100
-# corrector.coefficients computes 2.0 ** (2n + 1), which overflows float64 from n = 512.
+# The corrector evaluates f at 2^k x for k up to n_max + 1; past this depth a
+# float64 quadratic map leaves range at every |x| >= 1 (4^512 = 2^1024).
 N_MAX_CAP = 511
 # The homogeneity audit compares against |t|^beta with |t| up to 10.
 BETA_CAP = 16
@@ -114,6 +115,10 @@ FIELDS = {
     "scale": Row("float", 1.0, 0, None, "()"),
     "quasi_trials": Row("int", 2000, 1, COUNT_CAP),
     "beta": Row("float", None, 0, BETA_CAP, "(]"),
+    # orthostab constants flags; --beta and --p take each entry of their list
+    "--beta": Row("float", None, 0, BETA_CAP, "(]"),
+    "--p": Row("float", None, 0, 1, "(]"),
+    "--tol": Row("float", None, 0, 1, "(]"),
 }
 
 # The top-level fields of each kind of document.

@@ -19,16 +19,17 @@ times
 
 under a beta-homogeneous gauge. Summing the gaps gives the certified series
 enclosure gap_series(beta), whose tail bounds the distance from the n-th term
-to the limit. Everything here works on both scalar backends; beta must be 1
-for exact-rational work since other powers leave the rationals.
+to the limit. Everything here works on both scalar fields (vectors.py): a
+function that holds a point reads the field off it, and one that holds none
+takes a field, FLOAT64 by default.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import ConfigurationError, InputError, RangeError
 from .gauges import Gauge
 from .maps import evaluate_stack
 from . import vectors as vec
+from .vectors import FLOAT64, RATIONAL
 
 EPS = sys.float_info.epsilon
 
@@ -48,27 +50,24 @@ OPS_ENVELOPE = 64
 N_CANCEL_DEFAULT = 20
 
 
-def coefficients(n: int, exact: bool = False):
-    """(c_plus(n), c_minus(n)); both exact dyadics in either backend for n <= 52."""
+# Every sample of a run asks for the same n = 1..n_max; the pairs are immutable.
+@functools.lru_cache(maxsize=1024)
+def coefficients(n: int, field=FLOAT64):
+    """(c_plus(n), c_minus(n)) as (1 +- 2^-n) 2^-(n+1).
+
+    Exact dyadics on both fields for n <= 52; float64 rounds 1 +- 2^-n once
+    beyond that and never overflows.
+    """
     if n < 1:
         raise InputError(f"corrector index must be >= 1, got {n}")
-    if exact:
-        den = 2 ** (2 * n + 1)
-        return Fraction(2 ** n + 1, den), Fraction(2 ** n - 1, den)
-    den = 2.0 ** (2 * n + 1)
-    return (2.0 ** n + 1.0) / den, (2.0 ** n - 1.0) / den
+    t = field.const(2) ** -n
+    return (1 + t) * (t / 2), (1 - t) * (t / 2)
 
 
-def _three_eighths(exact: bool):
-    if exact:
-        return Fraction(3, 8), Fraction(1, 8)
-    return 0.375, 0.125
-
-
-def three_eighths_expression(f2, f4, fm4, exact: bool):
+def three_eighths_expression(f2, f4, fm4):
     """f(2x) - 3/8 f(4x) + 1/8 f(-4x) from the three values, row by row."""
-    a, b = _three_eighths(exact)
-    return (f2 - a * f4) + b * fm4
+    c = vec.field_of(f2).const
+    return (f2 - c(3, 8) * f4) + c(1, 8) * fm4
 
 
 def _at_scales(f, points, ks):
@@ -77,30 +76,24 @@ def _at_scales(f, points, ks):
     Both are (len(ks), N, m) arrays. The scalings 2^k are exact in both
     backends.
     """
-    exact = vec.is_exact(points)
-    scales = np.array(
-        [Fraction(2) ** k if exact else 2.0 ** k for k in ks], dtype=points.dtype
-    )
+    two = vec.field_of(points).const(2)
+    scales = np.array([two ** k for k in ks], dtype=points.dtype)
     rows = (scales[:, None, None] * points).reshape(-1, points.shape[1])
     values = evaluate_stack(f, np.concatenate([rows, -rows]))
     values = values.reshape(2, len(ks), len(points), -1)
     return values[0], values[1]
 
 
-def _coefficient_columns(ns, exact: bool):
+def _coefficient_columns(ns, field):
     """(c_plus, c_minus) for each n in ns, as columns that scale the rows of a stack."""
-    c = np.array([coefficients(n, exact) for n in ns], dtype=object if exact else np.float64)
+    c = np.array([coefficients(n, field) for n in ns], dtype=field.dtype)
     return c[:, :1], c[:, 1:]
 
 
-def cauchy_gap(n: int, beta, exact: bool = False):
+def cauchy_gap(n: int, beta, field=FLOAT64):
     """Gap coefficient c_plus(n)^beta + c_minus(n)^beta; equals 2^-n at beta = 1."""
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact cauchy_gap needs beta = 1")
-        return Fraction(1, 2 ** n)
-    cp, cm = coefficients(n, exact=False)
-    b = float(beta)
+    cp, cm = coefficients(n, field)
+    b = field.beta(beta)
     return cp ** b + cm ** b
 
 
@@ -121,7 +114,7 @@ class SeriesEnclosure:
         return (self.upper + self.lower) / 2
 
 
-def gap_tail_bound(n_start: int, beta, exact: bool = False):
+def gap_tail_bound(n_start: int, beta, field=FLOAT64):
     """Upper bound for sum of cauchy_gap(m, beta) over m >= n_start.
 
     Elementary majorant from c_plus(m), c_minus(m) <= 2^-m:
@@ -130,37 +123,32 @@ def gap_tail_bound(n_start: int, beta, exact: bool = False):
     """
     if n_start < 1:
         raise InputError(f"tail start must be >= 1, got {n_start}")
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact tail bound needs beta = 1")
-        return Fraction(2, 2 ** n_start)
-    b = float(beta)
+    b = field.beta(beta)
     if b <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta!r}")
-    if b == 1.0:
-        return 2.0 ** (1 - n_start)
-    r = 2.0 ** -b
-    return 2.0 * (2.0 ** (-n_start * b)) / (1.0 - r)
+    two = field.const(2)
+    if b == 1:
+        return two ** (1 - n_start)
+    r = two ** -b
+    return 2 * (two ** (-n_start * b)) / (1 - r)
 
 
-def gap_series(beta, tol: float = 1e-12, exact: bool = False) -> SeriesEnclosure:
+def gap_series(beta, tol: float = 1e-12, field=FLOAT64) -> SeriesEnclosure:
     """Certified enclosure of sum of cauchy_gap(n, beta) over n >= 1.
 
     Terms are summed until the geometric tail majorant drops below tol/2;
-    the upper end carries the tail plus a summation rounding pad. The exact
-    backend (beta = 1) returns [1 - 2^-N, 1] since the majorant is tight there.
+    the upper end carries the tail plus a summation rounding pad. RATIONAL
+    (beta = 1) returns [1 - 2^-N, 1] in closed form, since the majorant is
+    tight there.
     """
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol!r}")
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact gap_series needs beta = 1")
-        n_terms = max(1, math.ceil(-math.log2(min(tol, 1.0))))
-        partial = 1 - Fraction(1, 2 ** n_terms)
-        return SeriesEnclosure(partial, Fraction(1), n_terms)
-    b = float(beta)
+    b = field.beta(beta)
     if b <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta!r}")
+    if field is RATIONAL:
+        n_terms = max(1, math.ceil(-math.log2(min(tol, 1.0))))
+        return SeriesEnclosure(1 - field.const(1, 2 ** n_terms), field.const(1), n_terms)
     terms = []
     n = 1
     while gap_tail_bound(n, b) > tol / 2:
@@ -184,7 +172,7 @@ def scale_table(f, x, k_max: int):
     points = vec.stack(x)
     fp, fm = _at_scales(f, points, range(k_max + 1))
     fp, fm = fp[:, 0], fm[:, 0]
-    if not vec.is_exact(points):
+    if vec.field_of(points) is FLOAT64:
         finite = np.isfinite(fp).all(axis=-1) & np.isfinite(fm).all(axis=-1)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -192,24 +180,25 @@ def scale_table(f, x, k_max: int):
     return fp, fm
 
 
-def _scale_defects(fp, fm, gauge: Gauge, exact: bool):
+def _scale_defects(fp, fm, gauge: Gauge):
     """Three-eighths defects at +/-2^(k-1)x with their rounding envelopes.
 
     fp, fm is a scale table; k runs from 1 to len(fp) - 2. Returns (defects,
     slacks), two arrays with one row per k and one column per sign, + then
     -. The slack is a first-order rounding envelope, OPS_ENVELOPE * eps * the
     coordinate-wise magnitude sum pushed through the gauge; it is what the
-    computed defect can deviate from the true one by. Zero on the exact
-    backend. At scales where the base map values dwarf the defect the
-    envelope exceeds the defect itself, and a comparison against a bound is
-    only decidable outside the envelope.
+    computed defect can deviate from the true one by. Zero on RATIONAL,
+    where it is not computed. At scales where the base map values dwarf the
+    defect the envelope exceeds the defect itself, and a comparison against a
+    bound is only decidable outside the envelope.
     """
-    plus = three_eighths_expression(fp[1:-1], fp[2:], fm[2:], exact)
-    minus = three_eighths_expression(fm[1:-1], fm[2:], fp[2:], exact)
+    field = vec.field_of(fp)
+    plus = three_eighths_expression(fp[1:-1], fp[2:], fm[2:])
+    minus = three_eighths_expression(fm[1:-1], fm[2:], fp[2:])
     defects = gauge.evaluate(np.stack([plus, minus], axis=1))
-    if exact:
-        return defects, vec.zeros(defects.shape, exact)
-    a, b = _three_eighths(exact)
+    if field is RATIONAL:
+        return defects, field.zeros(defects.shape)
+    a, b = field.const(3, 8), field.const(1, 8)
     ap, am = np.abs(fp), np.abs(fm)
     mag_p = ap[1:-1] + a * ap[2:] + b * am[2:]
     mag_m = am[1:-1] + a * am[2:] + b * ap[2:]
@@ -294,20 +283,20 @@ def corrector_limit(
     bound + slack is a certain violation; one inside (bound, bound + slack]
     is recorded as indeterminate, since at large scales the cancellation
     residue of the base map exceeds anything the comparison could detect.
-    The exact backend has slack 0 and decides every scale.
+    RATIONAL has slack 0 and decides every scale.
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    exact = vec.is_exact(x)
+    field = vec.field_of(x)
     fp, fm = scale_table(f, x, n_max + 1)
-    defects, slacks = _scale_defects(fp, fm, gauge, exact)
+    defects, slacks = _scale_defects(fp, fm, gauge)
     violations, indeterminate = _classify(defects, slacks, defect_bound)
-    cp, cm = _coefficient_columns(range(1, n_max + 1), exact)
+    cp, cm = _coefficient_columns(range(1, n_max + 1), field)
     trace = CorrectorTrace(
         point=x,
         n_max=n_max,
         defect_bound=defect_bound,
-        residual_bound=defect_bound * gap_tail_bound(n_max, beta, exact),
+        residual_bound=defect_bound * gap_tail_bound(n_max, beta, field),
         terms=cp * fp[1:-1] - cm * fm[1:-1],
         defects=defects[:, 0].tolist(),
         hypothesis_ok=not violations,
@@ -315,7 +304,7 @@ def corrector_limit(
         indeterminate_scales=indeterminate,
     )
     if (
-        not exact
+        field is FLOAT64
         and getattr(f, "growth_hint", "unknown") == "quadratic"
         and n_max > N_CANCEL_DEFAULT
     ):
@@ -340,7 +329,7 @@ class CorrectorEvaluator:
 
     def _terms(self, z):
         points, single = vec.as_stack(z)
-        cp, cm = coefficients(self.n, vec.is_exact(points))
+        cp, cm = coefficients(self.n, vec.field_of(points))
         fp, fm = _at_scales(self.f, points, (self.n,))
         return cp * fp[0], cm * fm[0], single
 
@@ -397,21 +386,21 @@ def check_gap_bounds(f, x, n_values, defect_bound, beta, gauge: Gauge) -> GapBou
     if not n_values:
         raise InputError("n_values must be nonempty")
     ns = sorted(n_values)
-    exact = vec.is_exact(x)
+    field = vec.field_of(x)
     fp, fm = scale_table(f, x, ns[-1] + 2)
-    violations, indeterminate = _classify(*_scale_defects(fp, fm, gauge, exact), defect_bound)
-    series_upper = gap_series(beta, exact=exact).upper
+    violations, indeterminate = _classify(*_scale_defects(fp, fm, gauge), defect_bound)
+    series_upper = gap_series(beta, field=field).upper
     level_cap = defect_bound * (series_upper + 1)
     # levels n, then n + 1, for each n; r(n) = gauge(f(2x) - g_n(2x))
     levels = np.array(ns + [n + 1 for n in ns])
-    cp, cm = _coefficient_columns(levels.tolist(), exact)
+    cp, cm = _coefficient_columns(levels.tolist(), field)
     terms = cp * fp[levels] - cm * fm[levels]
     residuals = gauge.evaluate((fp[1] - cp * fp[levels + 1]) + cm * fm[levels + 1]).tolist()
     term_gaps = gauge.evaluate(terms[: len(ns)] - terms[len(ns) :]).tolist()
     rows = []
     for n, r_n, r_n1, term_gap in zip(ns, residuals, residuals[len(ns) :], term_gaps):
         step = abs(r_n1 - r_n)
-        bound = defect_bound * cauchy_gap(n, beta, exact)
+        bound = defect_bound * cauchy_gap(n, beta, field)
         rows.append(
             GapBoundRow(
                 n=n,

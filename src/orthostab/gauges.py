@@ -99,7 +99,7 @@ class Gauge:
         One float64 vector gives a Python float and a stack of them an array of
         values, row by row. Tuples and object arrays of Fraction run exactly.
         """
-        if vec.is_exact(y):
+        if vec.field_of(y) is vec.RATIONAL:
             return self._evaluate_exact(np.asarray(y, dtype=object))
         y = np.asarray(y, dtype=np.float64)
         if self.kind == "euclidean":
@@ -204,7 +204,7 @@ def check_fnorm_axioms(
         raise InputError("check_fnorm_axioms needs at least one sample pair")
     report = AxiomReport(subject=gauge.describe())
     dim = vec.vlen(samples[0][0])
-    zero = vec.vzero(dim, exact=False)
+    zero = vec.FLOAT64.zero(dim)
 
     # (1) gauge(x) = 0 iff x = 0
     worst = None

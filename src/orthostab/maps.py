@@ -104,7 +104,7 @@ def evaluate_stack(f, points: np.ndarray) -> np.ndarray:
     if isinstance(f, EvaluableMap):
         return f(points)
     values = [f(vec.point_form(row)) for row in points]
-    return np.array(values, dtype=object if vec.is_exact(points) else np.float64)
+    return np.array(values, dtype=vec.field_of(points).dtype)
 
 
 def _payloads(points: np.ndarray) -> list[bytes]:
@@ -159,7 +159,7 @@ def _symmetrized_noise(seed: int, points: np.ndarray, m: int, parity: str) -> np
         return _raw_noise(seed, points, m)
     n = len(points)
     raw = _raw_noise(seed, np.concatenate([points, -points]), m)
-    half = Fraction(1, 2) if vec.is_exact(points) else 0.5
+    half = vec.field_of(points).const(1, 2)
     if parity == "odd":
         return half * (raw[:n] - raw[n:])
     return half * (raw[:n] + raw[n:])
@@ -172,13 +172,13 @@ def scaled_noise(seed: int, x, m: int, parity: str, amplitude, gauge: Gauge):
     NOISE_HEADROOM; see the constant above.
     """
     points, single = vec.as_stack(x)
-    exact = vec.is_exact(points)
+    field = vec.field_of(points)
     if amplitude == 0:
-        return vec.unstack(vec.zeros((len(points), m), exact), single)
+        return vec.unstack(field.zeros((len(points), m)), single)
     eta = _symmetrized_noise(seed, points, m, parity)
     g = gauge.evaluate(eta)
     rows = g != 0
-    if exact:
+    if field is vec.RATIONAL:
         if rows.any():
             if gauge.homogeneity_degree != 1:
                 raise ConfigurationError("exact noise scaling needs a 1-homogeneous gauge")
@@ -207,8 +207,8 @@ def build_map(spec: MapSpec, gauge: Gauge) -> EvaluableMap:
     The gauge argument fixes the codomain gauge in which noise_amplitude is
     measured; it must match the gauge the experiment runs under.
     """
-    exact = spec.backend == "exact-rational"
-    if exact and not gauge.supports_exact:
+    field = vec.field_named(spec.backend)
+    if field is vec.RATIONAL and not gauge.supports_exact:
         raise ConfigurationError(
             f"exact-rational backend cannot evaluate gauge {gauge.describe()}"
         )
@@ -216,8 +216,8 @@ def build_map(spec: MapSpec, gauge: Gauge) -> EvaluableMap:
     # taken one point at a time (a stack of matrix-vector products) because a
     # single matrix-matrix product may round differently.
     if spec.matrix is not None:
-        entries = config.read_field("map.matrix", spec.matrix, exact)
-        mat = np.array(entries, dtype=object if exact else np.float64)
+        entries = config.read_field("map.matrix", spec.matrix, field is vec.RATIONAL)
+        mat = np.array(entries, dtype=field.dtype)
     if spec.base == "linear":
         m, d = mat.shape
         growth = "linear"
@@ -235,26 +235,25 @@ def build_map(spec: MapSpec, gauge: Gauge) -> EvaluableMap:
         growth = "bounded"
 
         def base_fn(points):
-            return vec.zeros((len(points), m), exact)
+            return field.zeros((len(points), m))
 
     amplitude = spec.noise_amplitude
     seed = spec.seed
     parity = spec.noise_parity
 
     def fn(x):
-        if vec.is_exact(x) != exact:
+        if vec.field_of(x) is not field:
             raise InputError(
                 "exact-rational map expects tuple-of-Fraction points"
-                if exact
+                if field is vec.RATIONAL
                 else "float64 map expects numpy array points"
             )
         points, single = vec.as_stack(x)
-        if not exact:
-            points = np.ascontiguousarray(points)
+        points = np.ascontiguousarray(points)
         y = base_fn(points)
         if amplitude != 0:
             y = y + scaled_noise(seed, points, m, parity, amplitude, gauge)
-        if not exact:
+        if field is vec.FLOAT64:
             finite = np.isfinite(y).all(axis=-1)
             if not finite.all():
                 bad = vec.point_form(points[~finite][0])

@@ -28,7 +28,6 @@ of failure and report the worst one found.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .errors import ConfigurationError, InputError, SamplerError
 from .gauges import Gauge
 from .reporting import AxiomCheck, AxiomReport
 from . import vectors as vec
+from .vectors import FLOAT64, RATIONAL
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,6 @@ class OrthoRelation:
         if self.gauge is not None:
             cfg["gauge"] = self.gauge.to_config()
         return cfg
-
-
-def _exact_vector(rng, dimension: int, scale: float) -> tuple:
-    # Dyadic rationals in roughly [-16, 16]*scale; denominator 2^8 keeps
-    # downstream Fractions small.
-    num = rng.integers(-4096, 4097, size=dimension)
-    s = Fraction(scale).limit_denominator(2 ** 12) if not isinstance(scale, Fraction) else scale
-    return tuple(Fraction(int(n), 256) * s for n in num)
-
-
-def _float_vector(rng, dimension: int, scale: float) -> np.ndarray:
-    return scale * rng.normal(size=dimension)
 
 
 def _project_off(x, u):
@@ -157,7 +145,7 @@ def sample_orthogonal_pairs(
     count: int,
     seed: int,
     scale: float = 1.0,
-    exact: bool = False,
+    field=FLOAT64,
 ):
     """Deterministic orthogonal pairs under the relation.
 
@@ -167,12 +155,15 @@ def sample_orthogonal_pairs(
     """
     if count < 1:
         raise InputError(f"pair count must be >= 1, got {count}")
-    if exact and relation.kind == "isosceles":
+    if field is RATIONAL and relation.kind == "isosceles":
         raise ConfigurationError("isosceles sampling is float-only (bisection witness search)")
     rng = np.random.default_rng(seed)
     d = relation.dimension
-    draw = (lambda: _exact_vector(rng, d, scale)) if exact else (lambda: _float_vector(rng, d, scale))
-    zero = vec.vzero(d, exact)
+
+    def draw():
+        return field.draw(rng, d, scale)
+
+    zero = field.zero(d)
     pairs = []
     for i in range(count):
         if i == 0:
@@ -247,7 +238,7 @@ def check_relation_axioms(
         points = [rng.normal(size=d) for _ in range(count)]
     pairs = sample_orthogonal_pairs(relation, max(count, 4), seed=seed + 1)
     report = AxiomReport(subject=f"{relation.kind} / {system}")
-    zero = vec.vzero(d, exact=isinstance(points[0], tuple))
+    zero = vec.field_of(points[0]).zero(d)
 
     def closure_check(name, transforms):
         witness, ok = None, True
@@ -333,7 +324,7 @@ def check_relation_axioms(
         )
         ok, witness = True, None
         for x in points:
-            candidates = [vec.vzero(d, exact=isinstance(x, tuple))]
+            candidates = [vec.field_of(x).zero(d)]
             try:
                 candidates.append(_rotation_witness(x) if not vec.is_zero(x) else candidates[0])
             except (SamplerError, ConfigurationError):

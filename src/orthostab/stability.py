@@ -45,6 +45,7 @@ from .maps import MapSpec, build_map, evaluate_stack
 from .orthogonality import OrthoRelation, sample_orthogonal_pairs
 from .reporting import jsonable
 from . import vectors as vec
+from .vectors import FLOAT64, RATIONAL
 
 # Sample points and pairs are evaluated this many at a time: each map call
 # gets a stack, and memory stays flat however many samples a run draws.
@@ -61,46 +62,37 @@ def _blockwise(fn, *stacks):
 # certified constants
 
 
-def additive_defect_factor(beta, exact: bool = False):
-    """(1 + 2^b + 4^b + 8^b + 16^b) / 8^b, the premise-to-defect conversion."""
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact factor needs beta = 1")
-        return Fraction(31, 8)
-    b = float(beta)
-    return (1.0 + 2.0 ** b + 4.0 ** b + 8.0 ** b + 16.0 ** b) / 8.0 ** b
+def additive_defect_factor(beta, field=FLOAT64):
+    """(1 + 2^b + 4^b + 8^b + 16^b) / 8^b, the premise-to-defect conversion; 31/8 at b = 1."""
+    b, c = field.beta(beta), field.const
+    return (1 + c(2) ** b + c(4) ** b + c(8) ** b + c(16) ** b) / c(8) ** b
 
 
-def quadratic_defect_factor(beta, exact: bool = False):
-    """(1 + 2^b + 2^(1-b) + 2^(1-2b)) / 8^b."""
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact factor needs beta = 1")
-        return Fraction(9, 16)
-    b = float(beta)
-    return (1.0 + 2.0 ** b + 2.0 ** (1.0 - b) + 2.0 ** (1.0 - 2.0 * b)) / 8.0 ** b
+def quadratic_defect_factor(beta, field=FLOAT64):
+    """(1 + 2^b + 2^(1-b) + 2^(1-2b)) / 8^b; 9/16 at b = 1."""
+    b, two = field.beta(beta), field.const(2)
+    return (1 + two ** b + two ** (1 - b) + two ** (1 - 2 * b)) / field.const(8) ** b
 
 
-def _k_enclosure(beta, factor_fn, tol, exact) -> SeriesEnclosure:
-    if exact:
-        f = factor_fn(beta, exact=True)
-        s = gap_series(beta, tol=min(tol, 1e-12) / (2 * float(f)), exact=True)
+def _k_enclosure(beta, factor_fn, tol, field) -> SeriesEnclosure:
+    f = factor_fn(beta, field)
+    if field is RATIONAL:
+        s = gap_series(beta, tol=min(tol, 1e-12) / (2 * float(f)), field=field)
         return SeriesEnclosure((s.lower + 1) * f, (s.upper + 1) * f, s.terms)
-    f = factor_fn(beta)
     s = gap_series(beta, tol=max(tol * 0.4 / f, 1e-13))
     lo = (s.lower + 1.0) * f * (1.0 - 4 * EPS)
     hi = (s.upper + 1.0) * f * (1.0 + 4 * EPS)
     return SeriesEnclosure(lo, hi, s.terms)
 
 
-def k_additive(beta, tol: float = 1e-12, exact: bool = False) -> SeriesEnclosure:
+def k_additive(beta, tol: float = 1e-12, field=FLOAT64) -> SeriesEnclosure:
     """Certified enclosure of the additive stability constant."""
-    return _k_enclosure(beta, additive_defect_factor, tol, exact)
+    return _k_enclosure(beta, additive_defect_factor, tol, field)
 
 
-def k_quadratic(beta, tol: float = 1e-12, exact: bool = False) -> SeriesEnclosure:
+def k_quadratic(beta, tol: float = 1e-12, field=FLOAT64) -> SeriesEnclosure:
     """Certified enclosure of the quadratic stability constant."""
-    return _k_enclosure(beta, quadratic_defect_factor, tol, exact)
+    return _k_enclosure(beta, quadratic_defect_factor, tol, field)
 
 
 def _quasi_enclosure(k_fn, p: float, rel_tol: float) -> SeriesEnclosure:
@@ -135,7 +127,7 @@ def _jensen_rows(xs, ys, quadratic: bool):
     rows holds (x + y)/2, for the quadratic equation also (x - y)/2, then x
     and y: parts blocks of one row per pair.
     """
-    half = Fraction(1, 2) if vec.is_exact(xs) else 0.5
+    half = vec.field_of(xs).const(1, 2)
     mids = [half * (xs + ys)] + ([half * (xs - ys)] if quadratic else [])
     return np.concatenate(mids + [xs, ys]), len(mids) + 2
 
@@ -143,7 +135,7 @@ def _jensen_rows(xs, ys, quadratic: bool):
 def _jensen_expression(values, parts: int):
     """2 f((x+y)/2) [+ 2 f((x-y)/2)] - (f(x) + f(y)), from values at _jensen_rows."""
     *mids, fx, fy = np.split(values, parts)
-    two = Fraction(2) if values.dtype == object else 2.0
+    two = vec.field_of(values).const(2)
     lhs = two * mids[0] if len(mids) == 1 else two * mids[0] + two * mids[1]
     return lhs - (fx + fy)
 
@@ -316,16 +308,6 @@ def _max_row(name, bound, values, witnesses) -> CheckRow:
     )
 
 
-def _pows(beta, exact):
-    """(2^b, 2^-b) in the right scalar type."""
-    if exact:
-        if beta != 1:
-            raise ConfigurationError("exact chain factors need beta = 1")
-        return Fraction(2), Fraction(1, 2)
-    b = float(beta)
-    return 2.0 ** b, 2.0 ** -b
-
-
 def _pair_stacks(pairs):
     """The first and the second members of a list of pairs, as two stacks."""
     return vec.stack([x for x, _ in pairs]), vec.stack([y for _, y in pairs])
@@ -340,14 +322,14 @@ def _derive(equation: str, f, epsilon, beta, gauge: Gauge, points, pairs) -> Def
     if len(points) == 0 or len(pairs) == 0:
         raise InputError("defect derivation needs nonempty points and pairs")
     stack = vec.stack(points)
-    exact = vec.is_exact(stack)
-    tb, itb = _pows(beta, exact)
+    field = vec.field_of(stack)
+    b, two = field.beta(beta), field.const(2)
+    tb, itb = two ** b, two ** -b
     factor = additive_defect_factor if equation == "jensen-additive" else quadratic_defect_factor
-    C = factor(beta, exact) * epsilon
+    C = factor(beta, field) * epsilon
     checks = CHECKS[equation]
-    cast = Fraction if exact else float
     sums = [
-        [(cast(c), SCALES.index(k), sign) for c, k, sign in check.terms]
+        [(field.const(c), SCALES.index(k), sign) for c, k, sign in check.terms]
         for check in checks
         if check.terms not in (JENSEN, AT_ZERO)
     ]
@@ -364,7 +346,7 @@ def _derive(equation: str, f, epsilon, beta, gauge: Gauge, points, pairs) -> Def
         if check.terms == JENSEN:
             row = _max_row(check.name, bound, jensen, pairs)
         elif check.terms == AT_ZERO:
-            zero = vec.vzero(stack.shape[1], exact)
+            zero = field.zero(stack.shape[1])
             row = _max_row(check.name, bound, np.array([gauge.evaluate(f(zero))]), [zero])
         else:
             row = _max_row(check.name, bound, next(per_point), points)
@@ -421,7 +403,7 @@ def verify_conclusion(
     Also returns the rounding envelope: per coordinate, OPS_ENVELOPE * eps *
     (sum of contributing term magnitudes), pushed through the gauge. Every
     shipped gauge is monotone in coordinate-wise magnitude and subadditive, so
-    computed_defect <= true_defect + slack to first order. Exact backend runs
+    computed_defect <= true_defect + slack to first order. RATIONAL runs
     carry slack 0.
     """
     config.read_field("stability.equation", equation)
@@ -431,7 +413,7 @@ def verify_conclusion(
         if not relation.is_orthogonal(x, y):
             raise InputError(f"pair is not orthogonal under {relation.kind}: {x!r}, {y!r}")
     xs, ys = _pair_stacks(pairs)
-    exact = vec.is_exact(xs)
+    field = vec.field_of(xs)
     additive = equation == "jensen-additive"
 
     def block(xb, yb):
@@ -439,14 +421,14 @@ def verify_conclusion(
         rows, parts = _jensen_rows(xb, yb, quadratic=not additive)
         values, mags = evaluator.value_and_magnitude(rows)
         defects = gauge.evaluate(_jensen_expression(values, parts))
-        if exact:
-            return np.stack([defects, vec.zeros(defects.shape, exact)], axis=1)
+        if field is RATIONAL:
+            return np.stack([defects, field.zeros(defects.shape)], axis=1)
         *gm, gx, gy = np.split(mags, parts)
         mag = 2.0 * gm[0] + gx + gy if additive else 2.0 * gm[0] + 2.0 * gm[1] + gx + gy
         return np.stack([defects, gauge.evaluate(OPS_ENVELOPE * EPS * mag)], axis=1)
 
     defects, slacks = _blockwise(block, xs, ys).T
-    zero = Fraction(0) if exact else 0.0
+    zero = field.const(0)
     return ConclusionCheck(
         n=evaluator.n,
         max_defect=max([zero] + defects.tolist()),
@@ -484,13 +466,11 @@ def uniqueness_probe(
     stack = vec.stack(points)
     low, high = CorrectorEvaluator(f, n_low), CorrectorEvaluator(f, n_high)
     gaps = _blockwise(lambda block: gauge.evaluate(low.value(block) - high.value(block)), stack)
-    exact = vec.is_exact(stack)
-    worst = max([Fraction(0) if exact else 0.0] + gaps.tolist())
-    if exact:
-        total = sum(cauchy_gap(m, beta, exact=True) for m in range(n_low, n_high))
-    else:
-        total = math.fsum(cauchy_gap(m, beta) for m in range(n_low, n_high))
-        total *= 1.0 + 16 * EPS
+    field = vec.field_of(stack)
+    worst = max([field.const(0)] + gaps.tolist())
+    terms = [cauchy_gap(m, beta, field) for m in range(n_low, n_high)]
+    # The float sum carries a rounding envelope; the exact one needs none.
+    total = sum(terms) if field is RATIONAL else math.fsum(terms) * (1.0 + 16 * EPS)
     bound = defect_bound * total
     return UniquenessCheck(
         n_low=n_low,
@@ -563,15 +543,20 @@ class StabilityConfig:
                 raise ConfigurationError(
                     f"stability.beta {self.beta!r} does not match gauge homogeneity {deg!r}"
                 )
+        vec.field_named(self.mode).beta(self.beta)
         if self.mode == "exact-rational":
-            if float(self.beta) != 1:
-                raise ConfigurationError("exact-rational runs need beta = 1")
             if not self.gauge.supports_exact:
                 raise ConfigurationError(
                     f"gauge {self.gauge.describe()} has no exact evaluation"
                 )
             if self.relation.kind == "isosceles":
                 raise ConfigurationError("isosceles sampling is float-only")
+        elif self.relation.kind != "trivial-zero" and self.relation.tolerance == 0:
+            raise ConfigurationError(
+                f"relation.tolerance 0 asks a float64 {self.relation.kind} relation for exact "
+                "orthogonality, which rounding cannot meet; use a positive tolerance or "
+                "stability.mode exact-rational"
+            )
 
     @property
     def work_beta(self):
@@ -585,19 +570,15 @@ class StabilityConfig:
         when not given: (2^b + 2) delta for additive, (2*2^b + 2) delta for
         quadratic, b the working homogeneity degree."""
         delta = self.map_spec.noise_amplitude
-        exact = self.mode == "exact-rational"
-        b = self.work_beta
         if self.epsilon is not None:
             eps = self.epsilon
             if self.quasi_corollary:
                 return float(eps) ** float(self.gauge.p), delta
             return eps, delta
-        if exact:
-            factor = Fraction(4) if self.equation == "jensen-additive" else Fraction(6)
-            return factor * Fraction(delta), delta
-        two_b = 2.0 ** float(b)
-        factor = two_b + 2.0 if self.equation == "jensen-additive" else 2.0 * two_b + 2.0
-        return factor * float(delta), delta
+        field = vec.field_named(self.mode)
+        two_b = field.const(2) ** field.beta(self.work_beta)
+        factor = two_b + 2 if self.equation == "jensen-additive" else 2 * two_b + 2
+        return factor * field.const(delta), delta
 
 
 @dataclass
@@ -685,21 +666,14 @@ class StabilityReport:
         }
 
 
-def _sample_points(config: StabilityConfig, seed) -> list:
+def _sample_points(config: StabilityConfig, field, seed) -> list:
     """Corrector sample points: doubled seeded draws (the bounds certify at 2x)."""
     rng = np.random.default_rng(seed)
-    exact = config.mode == "exact-rational"
-    d = config.dimension
-    points = []
-    for _ in range(config.sample_count):
-        if exact:
-            num = rng.integers(-4096, 4097, size=d)
-            z = tuple(Fraction(int(n), 256) for n in num)
-            points.append(vec.vscale(Fraction(2), z))
-        else:
-            z = config.point_scale * rng.normal(size=d)
-            points.append(2.0 * z)
-    return points
+    two = field.const(2)
+    return [
+        vec.vscale(two, field.draw(rng, config.dimension, config.point_scale))
+        for _ in range(config.sample_count)
+    ]
 
 
 def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
@@ -709,7 +683,7 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
     Deterministic given the config: sampling runs on spawned child seeds in a
     fixed order and reductions are sequential.
     """
-    exact = config.mode == "exact-rational"
+    field = vec.field_named(config.mode)
     work_gauge = config.work_gauge()
     beta = config.work_beta
     if f is None:
@@ -719,17 +693,17 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
     eps, delta = config.resolve_epsilon()
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     pairs = sample_orthogonal_pairs(
-        config.relation, config.pair_count, seed=seeds[0], exact=exact
+        config.relation, config.pair_count, seed=seeds[0], field=field
     )
-    points = _sample_points(config, seeds[1])
+    points = _sample_points(config, field, seeds[1])
     if config.equation == "jensen-quadratic":
-        zero = vec.vzero(config.dimension, exact)
+        zero = field.zero(config.dimension)
         pairs = [(zero, zero), (zero, points[0]), (points[0], zero)] + pairs
         derivation = derive_defect_bound_quadratic(f, eps, beta, work_gauge, points, pairs)
-        k_enc = k_quadratic(beta, exact=exact)
+        k_enc = k_quadratic(beta, field=field)
     else:
         derivation = derive_defect_bound_additive(f, eps, beta, work_gauge, points, pairs)
-        k_enc = k_additive(beta, exact=exact)
+        k_enc = k_additive(beta, field=field)
     C = derivation.defect_bound
     bound = k_enc.upper * eps
     guard_events: list[str] = []
@@ -767,7 +741,7 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
         if bound > 0:
             ratio = value / bound
         else:
-            ratio = (Fraction(0) if exact else 0.0) if value <= residual else float("inf")
+            ratio = field.const(0) if value <= residual else float("inf")
         rows.append(
             SampleRow(
                 point=x,
@@ -783,8 +757,9 @@ def run_stability(config: StabilityConfig, f=None) -> StabilityReport:
     conclusion = verify_conclusion(
         evaluator, config.equation, config.relation, conclusion_pairs, work_gauge
     )
-    ten = Fraction(10) if exact else 10.0
-    conclusion.bound = cauchy_gap(config.n_max, beta, exact) * eps + ten * conclusion.max_slack
+    conclusion.bound = (
+        cauchy_gap(config.n_max, beta, field) * eps + field.const(10) * conclusion.max_slack
+    )
     conclusion.ok = conclusion.max_defect <= conclusion.bound
     n_low = max(1, config.n_max // 2)
     uniq_points = points[: config.uniqueness_points]

@@ -45,6 +45,7 @@ from orthostab import (
     verify_conclusion,
 )
 from orthostab.cli import EXIT_OK, EXIT_VIOLATION, load_stability_config, main
+from orthostab.vectors import RATIONAL
 
 ABS1 = Gauge(kind="beta-sum", beta=1.0)
 EUCLID2 = OrthoRelation(kind="euclidean", dimension=2)
@@ -143,7 +144,7 @@ def test_criterion_3_exact_telescoping(capsys):
                 eps = Fraction(6) * delta
             f = build_map(spec, ABS1)
             points = exact_points(25, seed=100 + i)
-            pairs = sample_orthogonal_pairs(EUCLID2, 25, seed=200 + i, exact=True)
+            pairs = sample_orthogonal_pairs(EUCLID2, 25, seed=200 + i, field=RATIONAL)
             if equation == "jensen-additive":
                 der = derive_defect_bound_additive(f, eps, Fraction(1), ABS1, points, pairs)
             else:
@@ -276,11 +277,11 @@ def test_criterion_6_conclusion_defect_decay(capsys):
     ):
         cfg = _load_config(name)
         f = build_map(cfg.map_spec, cfg.work_gauge())
-        pairs = sample_orthogonal_pairs(cfg.relation, 100, seed=cfg.seed, exact=True)
+        pairs = sample_orthogonal_pairs(cfg.relation, 100, seed=cfg.seed, field=RATIONAL)
         prof = _defect_profile(f, cfg.equation, cfg.relation, pairs, cfg.work_gauge(), depths)
         mono = all(prof[i + 1][0] <= prof[i][0] for i in range(len(prof) - 1))
         slack_free = all(s == 0 for _, s in prof)
-        final = prof[-1][0] <= cauchy_gap(20, 1, exact=True) * eps
+        final = prof[-1][0] <= cauchy_gap(20, 1, field=RATIONAL) * eps
         ok = ok and mono and slack_free and final
         pieces.append(f"exact {cfg.equation.split('-')[1]}:{'ok' if mono and final else 'FAIL'}")
 

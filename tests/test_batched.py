@@ -49,6 +49,10 @@ FLOAT_GAUGES = (
 EXACT_GAUGES = (Gauge(kind="beta-sum", beta=1), Gauge(kind="euclidean-squared"))
 
 
+def field(exact: bool):
+    return vec.RATIONAL if exact else vec.FLOAT64
+
+
 # ---------------------------------------------------------------------------
 # reference: one point at a time
 
@@ -99,7 +103,7 @@ def ref_raw_noise(seed: int, x, m: int):
 def ref_scaled_noise(seed: int, x, m: int, parity: str, amplitude, gauge: Gauge):
     exact = isinstance(x, tuple)
     if amplitude == 0:
-        return vec.vzero(m, exact)
+        return field(exact).zero(m)
     eta = ref_raw_noise(seed, x, m)
     if parity != "none":
         half = Fraction(1, 2) if exact else 0.5
@@ -158,7 +162,7 @@ def ref_map(spec: MapSpec, gauge: Gauge):
         m = spec.codomain_dim
 
         def base(x):
-            return vec.vzero(m, exact)
+            return field(exact).zero(m)
 
     def f(x):
         y = base(x)
@@ -254,7 +258,7 @@ def ref_rows(f, gauge: Gauge, points, pairs, equation: str, exact: bool) -> dict
 
 def ref_value_and_magnitude(f, n: int, z):
     exact = isinstance(z, tuple)
-    cp, cm = coefficients(n, exact)
+    cp, cm = coefficients(n, field(exact))
     tp = vec.vscale(cp, f(ref_scale(z, n)))
     tm = vec.vscale(cm, f(vec.vneg(ref_scale(z, n))))
     if exact:
@@ -307,7 +311,7 @@ def setups(draw):
 
 def assert_same(a, b):
     """Bit-for-bit equality of two values, vectors or stacks of one backend."""
-    if vec.is_exact(a) or isinstance(a, Fraction):
+    if vec.field_of(a) is vec.RATIONAL or isinstance(a, Fraction):
         def flat(v):
             return np.ravel(np.asarray(v, dtype=object)).tolist()
 
@@ -367,10 +371,10 @@ def test_maps_noise_and_gauges_match_the_reference(setup):
         assert_same(gauges[i], ref_gauge(gauge, expected[i]))
     # one point is the one-row case and keeps its point form
     one = f(points[0])
-    assert isinstance(one, tuple) if vec.is_exact(stack) else one.shape == (m,)
+    assert isinstance(one, tuple) if vec.field_of(stack) is vec.RATIONAL else one.shape == (m,)
     assert_same(one, ref(points[0]))
     value = gauge.evaluate(one)
-    assert isinstance(value, Fraction if vec.is_exact(stack) else float)
+    assert isinstance(value, Fraction if vec.field_of(stack) is vec.RATIONAL else float)
     assert value == ref_gauge(gauge, ref(points[0]))
 
 
@@ -394,7 +398,7 @@ def test_corrector_limit_matches_the_reference(setup, n_max, bound):
         for k in range(n_max + 2):
             assert_same(fp[k], rp[k])
             assert_same(fm[k], rm[k])
-        defects, slacks = _scale_defects(fp, fm, gauge, exact)
+        defects, slacks = _scale_defects(fp, fm, gauge)
         expected = [ref_defects_from_table(rp, rm, k, gauge, exact) for k in range(1, n_max + 1)]
         violations, indeterminate = [], []
         for k, ((dp, sp), (dm, sm)) in enumerate(expected, start=1):
@@ -409,7 +413,7 @@ def test_corrector_limit_matches_the_reference(setup, n_max, bound):
         assert trace.hypothesis_violations == violations
         assert trace.indeterminate_scales == indeterminate
         assert trace.hypothesis_ok == (not violations)
-        cp, cm = coefficients(n_max, exact)
+        cp, cm = coefficients(n_max, field(exact))
         assert_same(g, vec.vsub(vec.vscale(cp, rp[n_max]), vec.vscale(cm, rm[n_max])))
         assert type(g) is type(x)
         assert [d for _, _, d in trace.rows] == [dp for (dp, _), _ in expected]
@@ -423,7 +427,7 @@ def test_derivation_rows_match_the_reference(setup, equation):
         return
     exact = spec.backend == "exact-rational"
     f, ref = build_map(spec, gauge), ref_map(spec, gauge)
-    zero = vec.vzero(len(points[0]), exact)
+    zero = field(exact).zero(len(points[0]))
     pairs = [(zero, zero), (zero, points[0]), (points[0], zero)]
     pairs += list(zip(points, reversed(points)))
     additive = equation == "jensen-additive"
@@ -457,7 +461,7 @@ def test_conclusion_and_uniqueness_match_the_reference(setup, n, equation):
     exact = spec.backend == "exact-rational"
     f, ref = build_map(spec, gauge), ref_map(spec, gauge)
     relation = OrthoRelation(kind="trivial-zero", dimension=len(points[0]))
-    zero = vec.vzero(len(points[0]), exact)
+    zero = field(exact).zero(len(points[0]))
     pairs = [(x, zero) for x in points] + [(zero, x) for x in points]
     check = verify_conclusion(CorrectorEvaluator(f, n), equation, relation, pairs, gauge)
     half, two = (Fraction(1, 2), Fraction(2)) if exact else (0.5, 2.0)

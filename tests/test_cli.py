@@ -75,10 +75,18 @@ class TestConstants:
             ["constants", "--p", "1.5"],
             ["constants", "--beta", "abc"],
             ["constants", "--beta", ","],
+            ["constants", "--beta", "nan"],
+            ["constants", "--beta", "1e6"],
+            ["constants", "--beta", "0.05"],
+            ["constants", "--beta", "0.01"],
+            ["constants", "--tol", "inf"],
+            ["constants", "--tol", "nan"],
         ],
     )
     def test_bad_flags_exit_config(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
 
 class TestLoadConfig:
@@ -275,6 +283,7 @@ class TestMalformedRunConfigs:
             ("relation", "dimension", 1e12),
             ("relation", "tolerance", float("inf")),
             ("relation", "tolerance", 1.0),
+            ("relation", "tolerance", 0),
             ("space", "dimension", 1e12),
         ],
     )
@@ -296,6 +305,13 @@ class TestMalformedRunConfigs:
         )
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_VIOLATION)
+
+    def test_exact_run_accepts_zero_tolerance(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "additive_rational.json").read_text())
+        doc["relation"]["tolerance"] = 0
+        doc["stability"].update(sample_count=8, pair_count=8, conclusion_pairs=8, uniqueness_points=4)
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_largest_map_seed_runs(self, tmp_path, capsys):
         doc = small_additive_doc(

@@ -37,6 +37,7 @@ from orthostab import (
 from orthostab.corrector import scale_table
 from orthostab.stability import derive_defect_bound_additive
 from orthostab.orthogonality import OrthoRelation, sample_orthogonal_pairs
+from orthostab.vectors import RATIONAL
 
 ABS1 = Gauge(kind="beta-sum", beta=1.0)
 ABS1_EXACT = Gauge(kind="beta-sum", beta=1)
@@ -52,18 +53,18 @@ def cubic_exact(t):
 
 class TestCoefficients:
     def test_exact_values(self):
-        assert coefficients(1, exact=True) == (Fraction(3, 8), Fraction(1, 8))
-        assert coefficients(2, exact=True) == (Fraction(5, 32), Fraction(3, 32))
+        assert coefficients(1, field=RATIONAL) == (Fraction(3, 8), Fraction(1, 8))
+        assert coefficients(2, field=RATIONAL) == (Fraction(5, 32), Fraction(3, 32))
 
     def test_float_matches_exact(self):
         for n in range(1, 30):
             cp, cm = coefficients(n)
-            ep, em = coefficients(n, exact=True)
+            ep, em = coefficients(n, field=RATIONAL)
             assert cp == float(ep) and cm == float(em)
 
     def test_sum_and_difference_identities(self):
         for n in range(1, 20):
-            cp, cm = coefficients(n, exact=True)
+            cp, cm = coefficients(n, field=RATIONAL)
             assert cp + cm == Fraction(1, 2**n)
             assert cp - cm == Fraction(1, 4**n)
 
@@ -104,7 +105,7 @@ class TestDefectAndTerms:
 class TestGapCoefficients:
     def test_exact_gap_is_two_to_minus_n(self):
         for n in (1, 2, 3, 10):
-            assert cauchy_gap(n, 1, exact=True) == Fraction(1, 2**n)
+            assert cauchy_gap(n, 1, field=RATIONAL) == Fraction(1, 2**n)
 
     def test_float_gap_beta_one(self):
         assert cauchy_gap(3, 1.0) == pytest.approx(0.125, rel=1e-15)
@@ -115,10 +116,10 @@ class TestGapCoefficients:
 
     def test_exact_gap_needs_unit_beta(self):
         with pytest.raises(ConfigurationError):
-            cauchy_gap(3, 2, exact=True)
+            cauchy_gap(3, 2, field=RATIONAL)
 
     def test_tail_bound_exact(self):
-        assert gap_tail_bound(5, 1, exact=True) == Fraction(2, 32)
+        assert gap_tail_bound(5, 1, field=RATIONAL) == Fraction(2, 32)
 
     def test_tail_bound_dominates_partial_tails(self):
         for beta in (0.5, 1.0):
@@ -142,7 +143,7 @@ class TestGapSeries:
         assert s.width <= 1e-9
 
     def test_exact_enclosure_shape(self):
-        s = gap_series(1, tol=1e-12, exact=True)
+        s = gap_series(1, tol=1e-12, field=RATIONAL)
         assert s.upper == Fraction(1)
         assert s.lower == 1 - Fraction(1, 2**s.terms)
         assert s.width <= Fraction(1, 10**12)
@@ -224,7 +225,7 @@ class TestCorrectorEvaluator:
     def test_value_matches_term(self):
         ev = CorrectorEvaluator(cubic_exact, 5)
         x = (Fraction(1, 2),)
-        cp, cm = coefficients(5, exact=True)
+        cp, cm = coefficients(5, field=RATIONAL)
         # c_plus(5) f(2^5 x) - c_minus(5) f(-2^5 x) at 2^5 x = 16
         assert ev.value(x) == (cp * 16 ** 3 - cm * (-16) ** 3,)
         assert ev(x) == ev.value(x)
@@ -261,7 +262,7 @@ def noisy_exact_setup():
     )
     f = build_map(spec, ABS1_EXACT)
     rel = OrthoRelation(kind="euclidean", dimension=2)
-    pairs = sample_orthogonal_pairs(rel, 40, seed=3, exact=True)
+    pairs = sample_orthogonal_pairs(rel, 40, seed=3, field=RATIONAL)
     points = [(Fraction(3, 2), Fraction(-1, 4)), (Fraction(5), Fraction(2))]
     der = derive_defect_bound_additive(f, Fraction(4, 1000), Fraction(1), ABS1_EXACT, points, pairs)
     assert der.certified
@@ -321,7 +322,7 @@ def test_consecutive_terms_telescope_through_the_defect(nums, n):
 
     g_n = CorrectorEvaluator(f, n).value(x)
     g_n1 = CorrectorEvaluator(f, n + 1).value(x)
-    cp, cm = coefficients(n, exact=True)
+    cp, cm = coefficients(n, field=RATIONAL)
     half_scale = vec.vscale(Fraction(2 ** (n - 1)), x)
     rhs = vec.vsub(
         vec.vscale(cp, defect_vec(half_scale)),
@@ -333,4 +334,4 @@ def test_consecutive_terms_telescope_through_the_defect(nums, n):
 @given(n=st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_gap_halves_at_unit_degree(n):
-    assert cauchy_gap(n + 1, 1, exact=True) * 2 == cauchy_gap(n, 1, exact=True)
+    assert cauchy_gap(n + 1, 1, field=RATIONAL) * 2 == cauchy_gap(n, 1, field=RATIONAL)

@@ -20,6 +20,7 @@ from orthostab import (
 )
 from orthostab.cli import _relation
 from orthostab.config import read
+from orthostab.vectors import RATIONAL
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +115,7 @@ class TestSampler:
             assert rel.is_orthogonal(x, y)
 
     def test_all_pairs_orthogonal_exact(self, euclid):
-        pairs = sample_orthogonal_pairs(euclid, 30, seed=7, exact=True)
+        pairs = sample_orthogonal_pairs(euclid, 30, seed=7, field=RATIONAL)
         for x, y in pairs:
             assert isinstance(x, tuple) and isinstance(x[0], Fraction)
             assert euclid.is_orthogonal(x, y)
@@ -125,7 +126,7 @@ class TestSampler:
 
     def test_isosceles_exact_rejected(self, isosceles_beta1):
         with pytest.raises(ConfigurationError):
-            sample_orthogonal_pairs(isosceles_beta1, 4, seed=0, exact=True)
+            sample_orthogonal_pairs(isosceles_beta1, 4, seed=0, field=RATIONAL)
 
     def test_deterministic(self, euclid):
         a = sample_orthogonal_pairs(euclid, 12, seed=42)

@@ -27,8 +27,11 @@ from orthostab import (
     StabilityConfig,
     additive_defect_factor,
     build_map,
+    cauchy_gap,
+    coefficients,
     derive_defect_bound_additive,
     derive_defect_bound_quadratic,
+    gap_tail_bound,
     jensen_additive_defect,
     jensen_quadratic_defect,
     k_additive,
@@ -41,6 +44,7 @@ from orthostab import (
     uniqueness_probe,
     verify_conclusion,
 )
+from orthostab.vectors import FLOAT64, RATIONAL
 
 ABS1 = Gauge(kind="beta-sum", beta=1.0)
 EUCLID2 = OrthoRelation(kind="euclidean", dimension=2)
@@ -56,8 +60,8 @@ def quadratic_exact(x):
 
 class TestDefectFactors:
     def test_exact_values(self):
-        assert additive_defect_factor(1, exact=True) == Fraction(31, 8)
-        assert quadratic_defect_factor(1, exact=True) == Fraction(9, 16)
+        assert additive_defect_factor(1, field=RATIONAL) == Fraction(31, 8)
+        assert quadratic_defect_factor(1, field=RATIONAL) == Fraction(9, 16)
 
     def test_float_matches_exact_at_degree_one(self):
         assert additive_defect_factor(1.0) == pytest.approx(31 / 8, rel=1e-15)
@@ -72,17 +76,41 @@ class TestDefectFactors:
 
     def test_exact_needs_unit_degree(self):
         with pytest.raises(ConfigurationError):
-            additive_defect_factor(0.5, exact=True)
+            additive_defect_factor(0.5, field=RATIONAL)
         with pytest.raises(ConfigurationError):
-            quadratic_defect_factor(2, exact=True)
+            quadratic_defect_factor(2, field=RATIONAL)
+
+
+# Each function that takes a field, as (beta, field) -> value(s); coefficients
+# takes no beta.
+ON_BOTH_FIELDS = {
+    "coefficients": lambda beta, field: [coefficients(n, field) for n in range(1, 53)],
+    "cauchy_gap": lambda beta, field: [cauchy_gap(n, beta, field) for n in range(1, 53)],
+    "gap_tail_bound": lambda beta, field: [gap_tail_bound(n, beta, field) for n in range(1, 53)],
+    "additive_defect_factor": lambda beta, field: [additive_defect_factor(beta, field)],
+    "quadratic_defect_factor": lambda beta, field: [quadratic_defect_factor(beta, field)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_BOTH_FIELDS))
+def test_one_formula_on_both_fields(name):
+    """At beta = 1 FLOAT64 gives the RATIONAL value rounded, bit for bit; RATIONAL refuses beta = 1/2."""
+    fn = ON_BOTH_FIELDS[name]
+    floats = np.array(fn(1.0, FLOAT64), dtype=np.float64).ravel()
+    exact = np.array(fn(1, RATIONAL), dtype=object).ravel()
+    assert all(isinstance(v, Fraction) for v in exact)
+    assert [v.hex() for v in floats] == [float(v).hex() for v in exact]
+    if name != "coefficients":
+        with pytest.raises(ConfigurationError, match="exact-rational backend needs beta = 1"):
+            fn(0.5, RATIONAL)
 
 
 class TestStabilityConstants:
     def test_exact_enclosures_pin_the_rationals(self):
-        ka = k_additive(1, exact=True)
+        ka = k_additive(1, field=RATIONAL)
         assert ka.upper == Fraction(31, 4)
         assert ka.lower <= Fraction(31, 4)
-        kq = k_quadratic(1, exact=True)
+        kq = k_quadratic(1, field=RATIONAL)
         assert kq.upper == Fraction(9, 8)
         assert kq.lower <= Fraction(9, 8)
 
@@ -118,12 +146,12 @@ class TestStabilityConstants:
 
 class TestJensenDefects:
     def test_additive_defect_vanishes_on_linear_maps(self):
-        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=5, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=5, field=RATIONAL)
         for x, y in pairs:
             assert jensen_additive_defect(linear_exact, x, y, ABS1) == 0
 
     def test_quadratic_defect_vanishes_on_quadratic_forms(self):
-        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=6, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=6, field=RATIONAL)
         for x, y in pairs:
             assert jensen_quadratic_defect(quadratic_exact, x, y, ABS1) == 0
 
@@ -146,7 +174,7 @@ class TestJensenDefects:
 class TestDeriveAdditive:
     def test_noiseless_map_certifies_at_any_positive_epsilon(self):
         points = exact_points(20, seed=21)
-        pairs = sample_orthogonal_pairs(EUCLID2, 20, seed=22, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 20, seed=22, field=RATIONAL)
         eps = Fraction(1, 10**6)
         d = derive_defect_bound_additive(linear_exact, eps, Fraction(1), ABS1, points, pairs)
         assert d.certified
@@ -156,7 +184,7 @@ class TestDeriveAdditive:
 
     def test_noisy_map_certifies_at_the_derived_epsilon(self, exact_linear_noisy):
         points = exact_points(30, seed=23)
-        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=24, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=24, field=RATIONAL)
         eps = Fraction(4, 1000)
         d = derive_defect_bound_additive(
             exact_linear_noisy, eps, Fraction(1), ABS1, points, pairs
@@ -176,7 +204,7 @@ class TestDeriveAdditive:
 
     def test_undersized_epsilon_fails_premises_not_silently(self, exact_linear_noisy):
         points = exact_points(30, seed=23)
-        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=24, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 30, seed=24, field=RATIONAL)
         d = derive_defect_bound_additive(
             exact_linear_noisy, Fraction(1, 10**9), Fraction(1), ABS1, points, pairs
         )
@@ -199,7 +227,7 @@ class TestDeriveQuadratic:
         points = exact_points(30, seed=31)
         zero = (Fraction(0), Fraction(0))
         pairs = [(zero, zero), (zero, points[0]), (points[0], zero)]
-        pairs += sample_orthogonal_pairs(EUCLID2, 30, seed=32, exact=True)
+        pairs += sample_orthogonal_pairs(EUCLID2, 30, seed=32, field=RATIONAL)
         eps = Fraction(6, 1000)
         d = derive_defect_bound_quadratic(
             exact_quadratic_noisy, eps, Fraction(1), ABS1, points, pairs
@@ -239,7 +267,7 @@ class TestDeriveQuadratic:
 
 class TestVerifyConclusion:
     def test_zero_defect_on_exact_solutions(self):
-        pairs = sample_orthogonal_pairs(EUCLID2, 25, seed=41, exact=True)
+        pairs = sample_orthogonal_pairs(EUCLID2, 25, seed=41, field=RATIONAL)
         ev = CorrectorEvaluator(linear_exact, 6)
         chk = verify_conclusion(ev, "jensen-additive", EUCLID2, pairs, ABS1)
         assert chk.max_defect == 0
@@ -402,6 +430,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             make_float_additive_config(sample_count=0)
 
+    def test_zero_tolerance_needs_exact_orthogonality(self):
+        gauge = Gauge(kind="beta-sum", beta=1.0)
+        for kind in ("euclidean", "isosceles"):
+            relation = OrthoRelation(kind=kind, dimension=2, gauge=gauge, tolerance=0.0)
+            with pytest.raises(ConfigurationError, match="relation.tolerance"):
+                make_float_additive_config(relation=relation)
+        make_float_additive_config(
+            relation=OrthoRelation(kind="trivial-zero", dimension=2, tolerance=0.0)
+        )
+        make_exact_quadratic_config(
+            relation=OrthoRelation(kind="euclidean", dimension=2, tolerance=0.0)
+        )
+
     def test_unknown_equation(self):
         with pytest.raises(ConfigurationError, match="equation"):
             make_float_additive_config(equation="jensen-cubic")
@@ -461,6 +502,12 @@ class TestRunStability:
         assert all(isinstance(r.value, Fraction) for r in report.samples)
         assert report.precision_notes == []
         json.dumps(report.to_dict())
+
+    def test_exact_run_honours_point_scale(self):
+        points = [r.point for r in run_stability(make_exact_quadratic_config()).samples]
+        scaled = run_stability(make_exact_quadratic_config(point_scale=4.0)).samples
+        assert [r.point for r in scaled] == [tuple(4 * c for c in x) for x in points]
+        assert all(isinstance(c, Fraction) for r in scaled for c in r.point)
 
     def test_noiseless_exact_run_is_exactly_zero_everywhere(self):
         report = run_stability(make_exact_quadratic_config(noise_amplitude=Fraction(0)))
@@ -531,7 +578,7 @@ class TestRunStability:
 def test_defect_bound_scales_linearly_with_epsilon(scale):
     """The derived bound is homogeneous in epsilon: C(t eps) = t C(eps)."""
     eps = Fraction(4, 1000) * Fraction(2) ** scale
-    assert additive_defect_factor(1, exact=True) * eps == Fraction(31, 8) * eps
+    assert additive_defect_factor(1, field=RATIONAL) * eps == Fraction(31, 8) * eps
     points = [(Fraction(1), Fraction(2))]
     pairs = [((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))]
     d = derive_defect_bound_additive(linear_exact, eps, Fraction(1), ABS1, points, pairs)
