@@ -198,19 +198,14 @@ def summary_text(report: StabilityReport) -> str:
         f"corrector depth n_max: {d.config.n_max}",
         f"certified truncation residual: {fmt(d.samples[0].residual) if d.samples else 'n/a'}",
         "",
-        "premise checks:",
     ]
-    for row in d.derivation.premise_rows:
-        lines.append(
-            f"  {row.name}: max {fmt(row.max_value)} vs bound {fmt(row.bound)} "
-            f"on {row.checked} -> {'PASS' if row.ok else 'FAIL'}"
-        )
-    lines.append("chain checks:")
-    for row in d.derivation.chain_rows:
-        lines.append(
-            f"  {row.name}: max {fmt(row.max_value)} vs bound {fmt(row.bound)} "
-            f"on {row.checked} -> {'PASS' if row.ok else 'FAIL'}"
-        )
+    for kind, rows in (("premise", d.derivation.premise_rows), ("chain", d.derivation.chain_rows)):
+        lines.append(f"{kind} checks:")
+        for row in rows:
+            lines.append(
+                f"  {row.name}: max {fmt(row.max_value)} vs bound {fmt(row.bound)} "
+                f"on {row.checked} -> {'PASS' if row.ok else 'FAIL'}"
+            )
     within = sum(1 for r in d.samples if r.within)
     lines += [
         "",
@@ -263,17 +258,7 @@ def write_run_artifacts(report: StabilityReport, out_dir) -> None:
 
 
 def run_exit_code(report: StabilityReport) -> int:
-    if not report.premise_ok:
-        return EXIT_PREMISE
-    if (
-        not report.derivation.chain_ok
-        or not report.all_within_bound
-        or not report.conclusion.ok
-        or not report.uniqueness.ok
-        or report.guard_events
-    ):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_PREMISE if not report.premise_ok else EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def cmd_run(args) -> int:
@@ -299,7 +284,7 @@ def cmd_run(args) -> int:
 # check-axioms
 
 
-def _axiom_summary(reports, quasi_info) -> str:
+def _axiom_summary(reports, quasi_info, all_passed: bool) -> str:
     lines = []
     for rep in reports:
         lines.append(f"[{rep.subject}]")
@@ -317,9 +302,6 @@ def _axiom_summary(reports, quasi_info) -> str:
             f"(analytic {quasi_info['analytic']!r}) -> "
             f"{'PASS' if quasi_info['ok'] else 'FAIL'}"
         )
-    all_passed = all(rep.all_passed for rep in reports) and (
-        quasi_info is None or quasi_info["ok"]
-    )
     lines.append(f"verdict: {'PASS' if all_passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
@@ -351,7 +333,8 @@ def cmd_check_axioms(args) -> int:
         single = [values["system"]] if values["system"] else list(config.AXIOM_SYSTEMS)
         for system in values["systems"] or single:
             reports.append(check_relation_axioms(relation, system, count=values["count"], seed=seed))
-    text = _axiom_summary(reports, quasi_info)
+    all_passed = all(r.all_passed for r in reports) and (quasi_info is None or quasi_info["ok"])
+    text = _axiom_summary(reports, quasi_info, all_passed)
     sys.stdout.write(text)
     if args.out is not None:
         out = Path(args.out)
@@ -364,9 +347,6 @@ def cmd_check_axioms(args) -> int:
         }
         (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
         (out / "summary.txt").write_text(text)
-    all_passed = all(rep.all_passed for rep in reports) and (
-        quasi_info is None or quasi_info["ok"]
-    )
     return EXIT_OK if all_passed else EXIT_VIOLATION
 
 

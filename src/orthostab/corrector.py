@@ -19,9 +19,12 @@ times
 
 under a beta-homogeneous gauge. Summing the gaps gives the certified series
 enclosure gap_series(beta), whose tail bounds the distance from the n-th term
-to the limit. Everything here works on both scalar fields (vectors.py): a
-function that holds a point reads the field off it, and one that holds none
-takes a field, FLOAT64 by default.
+to the limit. Each formula is written once: term_sum evaluates every sum of
+c * f(sign 2^k x), such as the three-eighths defect THREE_EIGHTHS and its
+magnitude; corrector_terms forms every corrector product; rounding_slack is
+the one float rounding envelope. Everything here works on both scalar fields
+(vectors.py): a function that holds a point reads the field off it, and one
+that holds none takes a field, FLOAT64 by default.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,10 +68,51 @@ def coefficients(n: int, field=FLOAT64):
     return (1 + t) * (t / 2), (1 - t) * (t / 2)
 
 
-def three_eighths_expression(f2, f4, fm4):
-    """f(2x) - 3/8 f(4x) + 1/8 f(-4x) from the three values, row by row."""
-    c = vec.field_of(f2).const
-    return (f2 - c(3, 8) * f4) + c(1, 8) * fm4
+def field_terms(terms, field) -> tuple:
+    """(coefficient, k, sign) terms as term_sum takes them: each coefficient a scalar of field."""
+    return tuple((field.const(c), k, sign) for c, k, sign in terms)
+
+
+def term_sum(terms, fp, fm):
+    """The sum of c * f(sign 2^k x) over field_terms (c, k, sign), left to right.
+
+    fp[k] and fm[k] hold f(2^k x) and f(-2^k x); a scale table or a mapping
+    from k serves. A coefficient of 1 adds the value itself, and a - b is
+    summed as a + (-1) * b, which IEEE arithmetic rounds the same way.
+    """
+    total = None
+    for c, k, sign in terms:
+        t = (fp if sign == "+" else fm)[k]
+        t = t if c == 1 else c * t
+        total = t if total is None else total + t
+    return total
+
+
+# The three-eighths defect f(2x) - 3/8 f(4x) + 1/8 f(-4x) as (coefficient, k,
+# sign) terms. Per field, its field_terms and those of its magnitude sum,
+# the same terms over |c|, converted once rather than for every sample.
+THREE_EIGHTHS = ((1, 1, "+"), (Fraction(-3, 8), 2, "+"), (Fraction(1, 8), 2, "-"))
+_THREE_EIGHTHS_ON = {
+    field: (
+        field_terms(THREE_EIGHTHS, field),
+        field_terms([(abs(c), k, sign) for c, k, sign in THREE_EIGHTHS], field),
+    )
+    for field in (FLOAT64, RATIONAL)
+}
+
+
+def rounding_slack(gauge: Gauge, values, magnitude):
+    """OPS_ENVELOPE * eps * magnitude() pushed through the gauge, for each computed value.
+
+    magnitude() sums the term magnitudes behind each value, coordinate-wise.
+    Every shipped gauge is monotone in them and subadditive, so a computed
+    value lies within this slack of the true one to first order. RATIONAL
+    values are exact: their slack is zero, and magnitude is never called.
+    """
+    field = vec.field_of(values)
+    if field is RATIONAL:
+        return field.zeros(values.shape)
+    return gauge.evaluate(OPS_ENVELOPE * EPS * magnitude())
 
 
 def _at_scales(f, points, ks):
@@ -84,10 +129,16 @@ def _at_scales(f, points, ks):
     return values[0], values[1]
 
 
-def _coefficient_columns(ns, field):
-    """(c_plus, c_minus) for each n in ns, as columns that scale the rows of a stack."""
+def corrector_terms(ns, fp, fm):
+    """(c_plus(n) f(2^n x), c_minus(n) f(-2^n x)) for each n in ns.
+
+    fp and fm hold f(2^n x) and f(-2^n x) along axis 0, one entry per n; the
+    corrector term g_n is the first minus the second.
+    """
+    field = vec.field_of(fp)
     c = np.array([coefficients(n, field) for n in ns], dtype=field.dtype)
-    return c[:, :1], c[:, 1:]
+    c = c.reshape(c.shape + (1,) * (fp.ndim - 1))
+    return c[:, 0] * fp, c[:, 1] * fm
 
 
 def cauchy_gap(n: int, beta, field=FLOAT64):
@@ -180,29 +231,31 @@ def scale_table(f, x, k_max: int):
     return fp, fm
 
 
+def _both_signs(terms, table):
+    """term_sum at +2^(k-1)x and at -2^(k-1)x for k = 1..len(table) - 2.
+
+    table[k] holds (f(2^k x), f(-2^k x)); the result has one row per k and
+    one column per sign, + then -.
+    """
+    flip = table[:, ::-1]
+    return term_sum(terms, {1: table[1:-1], 2: table[2:]}, {1: flip[1:-1], 2: flip[2:]})
+
+
 def _scale_defects(fp, fm, gauge: Gauge):
     """Three-eighths defects at +/-2^(k-1)x with their rounding envelopes.
 
     fp, fm is a scale table; k runs from 1 to len(fp) - 2. Returns (defects,
     slacks), two arrays with one row per k and one column per sign, + then
-    -. The slack is a first-order rounding envelope, OPS_ENVELOPE * eps * the
-    coordinate-wise magnitude sum pushed through the gauge; it is what the
-    computed defect can deviate from the true one by. Zero on RATIONAL,
-    where it is not computed. At scales where the base map values dwarf the
-    defect the envelope exceeds the defect itself, and a comparison against a
-    bound is only decidable outside the envelope.
+    -. The slack is rounding_slack over THREE_EIGHTHS summed on |c| and |f|:
+    what the computed defect can deviate from the true one by. At scales
+    where the base map values dwarf the defect the envelope exceeds the
+    defect itself, and a comparison against a bound is only decidable outside
+    the envelope.
     """
-    field = vec.field_of(fp)
-    plus = three_eighths_expression(fp[1:-1], fp[2:], fm[2:])
-    minus = three_eighths_expression(fm[1:-1], fm[2:], fp[2:])
-    defects = gauge.evaluate(np.stack([plus, minus], axis=1))
-    if field is RATIONAL:
-        return defects, field.zeros(defects.shape)
-    a, b = field.const(3, 8), field.const(1, 8)
-    ap, am = np.abs(fp), np.abs(fm)
-    mag_p = ap[1:-1] + a * ap[2:] + b * am[2:]
-    mag_m = am[1:-1] + a * am[2:] + b * ap[2:]
-    return defects, gauge.evaluate(OPS_ENVELOPE * EPS * np.stack([mag_p, mag_m], axis=1))
+    terms, magnitude_terms = _THREE_EIGHTHS_ON[vec.field_of(fp)]
+    table = np.stack([fp, fm], axis=1)
+    defects = gauge.evaluate(_both_signs(terms, table))
+    return defects, rounding_slack(gauge, defects, lambda: _both_signs(magnitude_terms, np.abs(table)))
 
 
 def _classify(defects, slacks, bound):
@@ -237,31 +290,6 @@ class CorrectorTrace:
     indeterminate_scales: list = field(default_factory=list)
     precision_warnings: list = field(default_factory=list)
 
-    @property
-    def rows(self) -> list:
-        """(n, g_n, defect at +2^(n-1)x) for n = 1..n_max."""
-        return [
-            (n, vec.point_form(g), d)
-            for n, (g, d) in enumerate(zip(self.terms, self.defects), start=1)
-        ]
-
-    def to_dict(self) -> dict:
-        from .reporting import jsonable
-
-        return {
-            "point": jsonable(self.point),
-            "n_max": self.n_max,
-            "defect_bound": jsonable(self.defect_bound),
-            "residual_bound": jsonable(self.residual_bound),
-            "hypothesis_ok": self.hypothesis_ok,
-            "hypothesis_violations": jsonable(self.hypothesis_violations),
-            "indeterminate_scales": jsonable(self.indeterminate_scales),
-            "precision_warnings": list(self.precision_warnings),
-            "rows": [
-                {"n": n, "term": jsonable(g), "defect": jsonable(d)} for n, g, d in self.rows
-            ],
-        }
-
 
 def corrector_limit(
     f,
@@ -291,13 +319,13 @@ def corrector_limit(
     fp, fm = scale_table(f, x, n_max + 1)
     defects, slacks = _scale_defects(fp, fm, gauge)
     violations, indeterminate = _classify(defects, slacks, defect_bound)
-    cp, cm = _coefficient_columns(range(1, n_max + 1), field)
+    plus, minus = corrector_terms(range(1, n_max + 1), fp[1:-1], fm[1:-1])
     trace = CorrectorTrace(
         point=x,
         n_max=n_max,
         defect_bound=defect_bound,
         residual_bound=defect_bound * gap_tail_bound(n_max, beta, field),
-        terms=cp * fp[1:-1] - cm * fm[1:-1],
+        terms=plus - minus,
         defects=defects[:, 0].tolist(),
         hypothesis_ok=not violations,
         hypothesis_violations=violations,
@@ -329,9 +357,8 @@ class CorrectorEvaluator:
 
     def _terms(self, z):
         points, single = vec.as_stack(z)
-        cp, cm = coefficients(self.n, vec.field_of(points))
-        fp, fm = _at_scales(self.f, points, (self.n,))
-        return cp * fp[0], cm * fm[0], single
+        tp, tm = corrector_terms((self.n,), *_at_scales(self.f, points, (self.n,)))
+        return tp[0], tm[0], single
 
     def value(self, z):
         tp, tm, single = self._terms(z)
@@ -392,10 +419,13 @@ def check_gap_bounds(f, x, n_values, defect_bound, beta, gauge: Gauge) -> GapBou
     series_upper = gap_series(beta, field=field).upper
     level_cap = defect_bound * (series_upper + 1)
     # levels n, then n + 1, for each n; r(n) = gauge(f(2x) - g_n(2x))
-    levels = np.array(ns + [n + 1 for n in ns])
-    cp, cm = _coefficient_columns(levels.tolist(), field)
-    terms = cp * fp[levels] - cm * fm[levels]
-    residuals = gauge.evaluate((fp[1] - cp * fp[levels + 1]) + cm * fm[levels + 1]).tolist()
+    levels = ns + [n + 1 for n in ns]
+    at = np.array(levels)
+    tp, tm = corrector_terms(levels, fp[at], fm[at])
+    # g_n(2x) = c_plus(n) f(2^(n+1) x) - c_minus(n) f(-2^(n+1) x)
+    rp, rm = corrector_terms(levels, fp[at + 1], fm[at + 1])
+    residuals = gauge.evaluate((fp[1] - rp) + rm).tolist()
+    terms = tp - tm
     term_gaps = gauge.evaluate(terms[: len(ns)] - terms[len(ns) :]).tolist()
     rows = []
     for n, r_n, r_n1, term_gap in zip(ns, residuals, residuals[len(ns) :], term_gaps):

@@ -80,6 +80,16 @@ class OrthoRelation:
         return cfg
 
 
+def require_float_tolerance(relation: OrthoRelation) -> None:
+    """Refuse tolerance 0 where float64 rounding must meet exact orthogonality."""
+    if relation.kind != "trivial-zero" and relation.tolerance == 0:
+        raise ConfigurationError(
+            f"relation.tolerance 0 asks a float64 {relation.kind} relation for exact "
+            "orthogonality, which rounding cannot meet; use a positive tolerance, or "
+            "stability.mode exact-rational for a run"
+        )
+
+
 def _project_off(x, u):
     """Component of u Euclid-orthogonal to x, exact over Fractions."""
     xx = vec.vdot(x, x)
@@ -232,6 +242,7 @@ def check_relation_axioms(
     for closure axioms come from sample_orthogonal_pairs with the same seed.
     """
     config.read_field("system", system)
+    require_float_tolerance(relation)
     rng = np.random.default_rng(seed)
     d = relation.dimension
     if points is None:

@@ -1,12 +1,12 @@
-"""Axiom-check report records shared by the gauge and orthogonality checkers."""
+"""JSON form of report records; axiom-check records of the gauge and relation checkers."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 
 def jsonable(value):
-    """Round-trip-safe JSON form: floats stay floats, vectors become lists."""
+    """Round-trip-safe JSON form: floats stay floats, vectors lists, dataclasses dicts."""
     import numpy as np
     from fractions import Fraction
 
@@ -20,6 +20,8 @@ def jsonable(value):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
+    if is_dataclass(value):
+        return jsonable(asdict(value))
     return value
 
 
@@ -31,9 +33,6 @@ class AxiomCheck:
     passed: bool
     worst_value: float | None = None
     worst_witness: object = None
-
-    def to_dict(self) -> dict:
-        return jsonable(asdict(self))
 
 
 @dataclass
@@ -58,5 +57,5 @@ class AxiomReport:
         return {
             "subject": self.subject,
             "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": jsonable(self.checks),
         }

@@ -23,26 +23,28 @@ used after transporting a p-quasi-norm problem through p_power_transform.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corrector import (
     EPS,
-    OPS_ENVELOPE,
+    THREE_EIGHTHS,
     CorrectorEvaluator,
     SeriesEnclosure,
     _at_scales,
     cauchy_gap,
     corrector_limit,
+    field_terms,
     gap_series,
+    rounding_slack,
+    term_sum,
 )
 from . import config
 from .errors import ConfigurationError, InputError
 from .gauges import Gauge, p_power_transform
 from .maps import MapSpec, build_map, evaluate_stack
-from .orthogonality import OrthoRelation, sample_orthogonal_pairs
+from .orthogonality import OrthoRelation, require_float_tolerance, sample_orthogonal_pairs
 from .reporting import jsonable
 from . import vectors as vec
 from .vectors import FLOAT64, RATIONAL
@@ -79,7 +81,12 @@ def _k_enclosure(beta, factor_fn, tol, field) -> SeriesEnclosure:
     if field is RATIONAL:
         s = gap_series(beta, tol=min(tol, 1e-12) / (2 * float(f)), field=field)
         return SeriesEnclosure((s.lower + 1) * f, (s.upper + 1) * f, s.terms)
-    s = gap_series(beta, tol=max(tol * 0.4 / f, 1e-13))
+    try:
+        s = gap_series(beta, tol=max(tol * 0.4 / f, 1e-13))
+    except ConfigurationError as e:
+        raise ConfigurationError(
+            f"tolerance {tol!r} unreachable for the stability constants in float64 at beta={beta!r}"
+        ) from e
     lo = (s.lower + 1.0) * f * (1.0 - 4 * EPS)
     hi = (s.upper + 1.0) * f * (1.0 + 4 * EPS)
     return SeriesEnclosure(lo, hi, s.terms)
@@ -169,10 +176,10 @@ class Check:
     """One premise or chain inequality: max over its inputs of gauge(sum) <= bound.
 
     bound maps (epsilon, 2^beta, 2^-beta) to the bound; None means the defect
-    bound C. terms lists (coefficient, k, sign) for the sum of
-    coefficient * f(sign 2^k x) over the sample points x, summed left to
-    right, or names a sum of another shape: JENSEN, the Jensen defect of the
-    equation on the orthogonal pairs, or AT_ZERO, f(0).
+    bound C. terms lists (coefficient, k, sign) for term_sum, the sum of
+    coefficient * f(sign 2^k x) over the sample points x, or names a sum of
+    another shape: JENSEN, the Jensen defect of the equation on the
+    orthogonal pairs, or AT_ZERO, f(0).
     """
 
     name: str
@@ -195,7 +202,6 @@ _EVENNESS_BOUND = lambda e, tb, itb: 2 * itb * (itb + 1) * e
 _ADDITIVE_COMBINATION_BOUND = lambda e, tb, itb: (1 + tb + tb ** 2 + tb ** 3 + tb ** 4) * e
 _QUADRATIC_COMBINATION_BOUND = lambda e, tb, itb: (1 + tb + 2 * itb + 2 * itb ** 2) * e
 _COMBINATION = ((3, 2, "+"), (-8, 1, "+"), (-1, 2, "-"))
-_THREE_EIGHTHS = ((1, 1, "+"), (Fraction(-3, 8), 2, "+"), (Fraction(1, 8), 2, "-"))
 
 # Each equation's checks in report order: the paper's chain from the Jensen
 # premise through oddness or evenness, halving, doubling and the fourth-scale
@@ -208,7 +214,7 @@ CHECKS = {
         Check("halving", False, _HALVING_BOUND, ((2, -1, "+"), (-1, 0, "+"))),
         Check("doubling", False, _HALVING_BOUND, ((2, 0, "+"), (-1, 1, "+"))),
         Check("fourth-scale-combination", False, _ADDITIVE_COMBINATION_BOUND, _COMBINATION),
-        Check("three-eighths-defect", False, None, _THREE_EIGHTHS),
+        Check("three-eighths-defect", False, None, THREE_EIGHTHS),
     ),
     "jensen-quadratic": (
         Check("jensen-quadratic-premise", True, _EPS_BOUND, JENSEN),
@@ -217,24 +223,9 @@ CHECKS = {
         Check("halving-even", False, _HALVING_BOUND, ((4, -1, "+"), (-1, 0, "+"))),
         Check("evenness-defect", False, _EVENNESS_BOUND, ((1, 0, "+"), (-1, 0, "-"))),
         Check("fourth-scale-combination", False, _QUADRATIC_COMBINATION_BOUND, _COMBINATION),
-        Check("three-eighths-defect", False, None, _THREE_EIGHTHS),
+        Check("three-eighths-defect", False, None, THREE_EIGHTHS),
     ),
 }
-
-
-def _term_sum(terms, fp, fm):
-    """The sum of c * f(sign 2^k x) over terms (c, i, sign), left to right.
-
-    fp[i] and fm[i] hold f(2^k x) and f(-2^k x) for k = SCALES[i]. A
-    coefficient of 1 adds the value itself, and a - b is summed as
-    a + (-1) * b, which IEEE arithmetic rounds the same way.
-    """
-    total = None
-    for c, i, sign in terms:
-        t = (fp if sign == "+" else fm)[i]
-        t = t if c == 1 else c * t
-        total = t if total is None else total + t
-    return total
 
 
 @dataclass
@@ -245,9 +236,6 @@ class CheckRow:
     ok: bool
     witness: object = None
     checked: int = 0
-
-    def to_dict(self) -> dict:
-        return jsonable(asdict(self))
 
 
 @dataclass
@@ -282,8 +270,8 @@ class DefectDerivation:
             "premises_ok": self.premises_ok,
             "chain_ok": self.chain_ok,
             "certified": self.certified,
-            "premise_rows": [r.to_dict() for r in self.premise_rows],
-            "chain_rows": [r.to_dict() for r in self.chain_rows],
+            "premise_rows": jsonable(self.premise_rows),
+            "chain_rows": jsonable(self.chain_rows),
         }
 
 
@@ -328,15 +316,11 @@ def _derive(equation: str, f, epsilon, beta, gauge: Gauge, points, pairs) -> Def
     factor = additive_defect_factor if equation == "jensen-additive" else quadratic_defect_factor
     C = factor(beta, field) * epsilon
     checks = CHECKS[equation]
-    sums = [
-        [(field.const(c), SCALES.index(k), sign) for c, k, sign in check.terms]
-        for check in checks
-        if check.terms not in (JENSEN, AT_ZERO)
-    ]
+    sums = [field_terms(c.terms, field) for c in checks if c.terms not in (JENSEN, AT_ZERO)]
 
     def block(points):
-        fp, fm = _at_scales(f, points, SCALES)
-        return np.stack([gauge.evaluate(_term_sum(terms, fp, fm)) for terms in sums], axis=1)
+        fp, fm = (dict(zip(SCALES, t)) for t in _at_scales(f, points, SCALES))
+        return np.stack([gauge.evaluate(term_sum(terms, fp, fm)) for terms in sums], axis=1)
 
     jensen = _jensen_defect(f, *_pair_stacks(pairs), gauge, equation == "jensen-quadratic")
     per_point = iter(_blockwise(block, stack).T)
@@ -387,9 +371,6 @@ class ConclusionCheck:
     bound: object = None
     ok: bool | None = None
 
-    def to_dict(self) -> dict:
-        return jsonable(asdict(self))
-
 
 def verify_conclusion(
     evaluator: CorrectorEvaluator,
@@ -400,9 +381,8 @@ def verify_conclusion(
 ) -> ConclusionCheck:
     """Max Jensen defect of the finite-n corrector over orthogonal pairs.
 
-    Also returns the rounding envelope: per coordinate, OPS_ENVELOPE * eps *
-    (sum of contributing term magnitudes), pushed through the gauge. Every
-    shipped gauge is monotone in coordinate-wise magnitude and subadditive, so
+    Also returns the largest rounding_slack, whose magnitude per coordinate
+    sums the corrector term magnitudes behind the defect, so
     computed_defect <= true_defect + slack to first order. RATIONAL runs
     carry slack 0.
     """
@@ -421,11 +401,12 @@ def verify_conclusion(
         rows, parts = _jensen_rows(xb, yb, quadratic=not additive)
         values, mags = evaluator.value_and_magnitude(rows)
         defects = gauge.evaluate(_jensen_expression(values, parts))
-        if field is RATIONAL:
-            return np.stack([defects, field.zeros(defects.shape)], axis=1)
-        *gm, gx, gy = np.split(mags, parts)
-        mag = 2.0 * gm[0] + gx + gy if additive else 2.0 * gm[0] + 2.0 * gm[1] + gx + gy
-        return np.stack([defects, gauge.evaluate(OPS_ENVELOPE * EPS * mag)], axis=1)
+
+        def magnitude():
+            *gm, gx, gy = np.split(mags, parts)
+            return 2.0 * gm[0] + gx + gy if additive else 2.0 * gm[0] + 2.0 * gm[1] + gx + gy
+
+        return np.stack([defects, rounding_slack(gauge, defects, magnitude)], axis=1)
 
     defects, slacks = _blockwise(block, xs, ys).T
     zero = field.const(0)
@@ -445,9 +426,6 @@ class UniquenessCheck:
     bound: object
     ok: bool
     points_checked: int
-
-    def to_dict(self) -> dict:
-        return jsonable(asdict(self))
 
 
 def uniqueness_probe(
@@ -551,12 +529,8 @@ class StabilityConfig:
                 )
             if self.relation.kind == "isosceles":
                 raise ConfigurationError("isosceles sampling is float-only")
-        elif self.relation.kind != "trivial-zero" and self.relation.tolerance == 0:
-            raise ConfigurationError(
-                f"relation.tolerance 0 asks a float64 {self.relation.kind} relation for exact "
-                "orthogonality, which rounding cannot meet; use a positive tolerance or "
-                "stability.mode exact-rational"
-            )
+        else:
+            require_float_tolerance(self.relation)
 
     @property
     def work_beta(self):
@@ -649,8 +623,8 @@ class StabilityReport:
             "seed": self.config.seed,
             "sample_count": len(self.samples),
             "derivation": self.derivation.to_dict(),
-            "conclusion": self.conclusion.to_dict(),
-            "uniqueness": self.uniqueness.to_dict(),
+            "conclusion": jsonable(self.conclusion),
+            "uniqueness": jsonable(self.uniqueness),
             "quasi": jsonable(self.quasi),
             "guard_events": list(self.guard_events),
             "precision_notes": list(self.precision_notes),

@@ -416,7 +416,7 @@ def test_corrector_limit_matches_the_reference(setup, n_max, bound):
         cp, cm = coefficients(n_max, field(exact))
         assert_same(g, vec.vsub(vec.vscale(cp, rp[n_max]), vec.vscale(cm, rm[n_max])))
         assert type(g) is type(x)
-        assert [d for _, _, d in trace.rows] == [dp for (dp, _), _ in expected]
+        assert trace.defects == [dp for (dp, _), _ in expected]
 
 
 @given(setup=setups(), equation=st.sampled_from(("jensen-additive", "jensen-quadratic")))

@@ -81,12 +81,16 @@ class TestConstants:
             ["constants", "--beta", "0.01"],
             ["constants", "--tol", "inf"],
             ["constants", "--tol", "nan"],
+            ["constants", "--beta", "0.15"],
         ],
     )
     def test_bad_flags_exit_config(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        if argv[1:] == ["--beta", "0.15"]:
+            # the message names the caller's tolerance, not the series' internal width
+            assert "1e-12" in err and "beta=0.15" in err, err
 
 
 class TestLoadConfig:
@@ -394,6 +398,17 @@ class TestCheckAxioms:
         assert "fs2-existence: FAIL" in text
         assert "witness:" in text
         assert "verdict: FAIL" in text
+
+    @pytest.mark.parametrize("kind, code", [("euclidean", EXIT_CONFIG), ("trivial-zero", EXIT_OK)])
+    def test_zero_tolerance_float_relation(self, tmp_path, capsys, kind, code):
+        relation = {"kind": kind, "dimension": 2, "tolerance": 0}
+        doc = {"target": "relation", "relation": relation, "system": "ratz", "count": 16}
+        assert main(["check-axioms", "--config", write_config(tmp_path, doc)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.startswith("configuration error: relation.tolerance") and err.count("\n") == 1
+        else:
+            assert err == ""
 
     def test_unknown_target_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"target": "mystery"})

@@ -178,7 +178,7 @@ class TestCorrectorLimit:
         f = lambda t: (5 * t[0],)
         g, trace = corrector_limit(f, (Fraction(1, 8),), 1, Fraction(1), ABS1_EXACT, 6)
         assert trace.residual_bound == Fraction(1) * Fraction(2, 2**6)
-        assert len(trace.rows) == 6
+        assert len(trace.defects) == 6
         assert trace.hypothesis_ok
 
     def test_detects_hypothesis_violation(self):
@@ -213,12 +213,6 @@ class TestCorrectorLimit:
     def test_nmax_validation(self):
         with pytest.raises(InputError):
             corrector_limit(cubic_exact, (Fraction(1),), 1, Fraction(1), ABS1_EXACT, 0)
-
-    def test_trace_serializes(self):
-        import json
-
-        _, trace = corrector_limit(cubic_exact, (Fraction(1, 4),), 1, Fraction(40), ABS1_EXACT, 3)
-        json.dumps(trace.to_dict())
 
 
 class TestCorrectorEvaluator:

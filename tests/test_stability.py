@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_points
+from conftest import CONFIG_DIR, exact_points
 from orthostab import (
     ConfigurationError,
     CorrectorEvaluator,
@@ -44,6 +44,7 @@ from orthostab import (
     uniqueness_probe,
     verify_conclusion,
 )
+from orthostab.cli import load_stability_config
 from orthostab.vectors import FLOAT64, RATIONAL
 
 ABS1 = Gauge(kind="beta-sum", beta=1.0)
@@ -571,6 +572,50 @@ class TestRunStability:
         assert [r.within for r in rd.samples] == [r.within for r in rq.samples]
         assert [r.value for r in rd.samples] == [r.value for r in rq.samples]
         assert rq.quasi["p"] == 0.5
+
+
+def _indeterminate_count(report) -> int:
+    """The number of scale checks decided only up to rounding slack, 0 if none."""
+    counts = [int(n.split()[0]) for n in report.precision_notes if "scale checks were" in n]
+    return counts[0] if counts else 0
+
+
+@pytest.mark.parametrize("name", ["additive_beta1", "quadratic_beta1"])
+def test_doubling_the_map_doubles_every_value(name):
+    """Metamorphic check of the chain, corrector, conclusion and uniqueness formulas.
+
+    At beta = 1 every defect, bound and rounding slack is linear in f, and
+    doubling is exact in float64. So doubling map.matrix and
+    map.noise_amplitude doubles each of them bit for bit and keeps every
+    ratio, verdict and count.
+    """
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doubled = json.loads(json.dumps(doc))
+    doubled["map"]["matrix"] = [[2 * v for v in row] for row in doc["map"]["matrix"]]
+    doubled["map"]["noise_amplitude"] = 2 * doc["map"]["noise_amplitude"]
+    base, twice = (run_stability(load_stability_config(d)) for d in (doc, doubled))
+    for a, b in zip(base.samples, twice.samples, strict=True):
+        assert (2 * a.value, 2 * a.bound, 2 * a.residual) == (b.value, b.bound, b.residual)
+        assert (a.ratio, a.within) == (b.ratio, b.within)
+    rows = zip(
+        base.derivation.premise_rows + base.derivation.chain_rows,
+        twice.derivation.premise_rows + twice.derivation.chain_rows,
+        strict=True,
+    )
+    for a, b in rows:
+        assert (2 * a.max_value, 2 * a.bound, a.ok) == (b.max_value, b.bound, b.ok), a.name
+    c, d = base.conclusion, twice.conclusion
+    assert (2 * c.max_defect, 2 * c.max_slack, c.ok) == (d.max_defect, d.max_slack, d.ok)
+    u, v = base.uniqueness, twice.uniqueness
+    assert (2 * u.max_gap, u.ok) == (v.max_gap, v.ok)
+    assert base.max_ratio == twice.max_ratio
+    assert (base.premise_ok, base.derivation.chain_ok, base.ok) == (
+        twice.premise_ok,
+        twice.derivation.chain_ok,
+        twice.ok,
+    )
+    assert len(base.guard_events) == len(twice.guard_events)
+    assert _indeterminate_count(base) == _indeterminate_count(twice)
 
 
 @given(scale=st.integers(min_value=-6, max_value=6))
